@@ -2,7 +2,8 @@
 
 The model is Y = X theta + sigma xi with standardized independent entries.
 We draw one sample in the tall regime (more rows than columns) and one in
-the wide regime, then run the matching estimation pipeline on each.
+the wide regime, then run the split-sample pipeline on each with the
+matching preliminary stage.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ print(f"true ||theta||_2 = {np.linalg.norm(theta):.4f}, support = {np.flatnonzer
 # Tall design: 400 rows, 40 columns -> least squares pipeline.
 spec = sn.ModelSpec(theta=theta, sigma=1.0)
 tall = sn.synthesize(spec, sn.Dimensions(N=400, p=40, s=3), seed=42)
-est_low = sn.estimate_lowdim(tall, s=3, params=sn.TuningParams(alpha=1.0))
+est_low = sn.estimate(tall, s=3, regime="low", alpha=1.0)
 print("\ntall regime  (N=400, p=40):")
 print(f"  branch = {est_low.branch}, sigma_hat = {est_low.sigma_hat:.4f}")
 print(f"  squared-norm estimate = {est_low.q_hat:.4f}  (truth {theta @ theta:.4f})")
@@ -28,7 +29,7 @@ theta_wide = sn.sample_sparse_theta(p=240, s=3, magnitude=2.0, rng=rng)
 wide = sn.synthesize(
     sn.ModelSpec(theta=theta_wide, sigma=1.0), sn.Dimensions(N=360, p=240, s=3), seed=43
 )
-est_high = sn.estimate_highdim(wide, s=3, alpha=1.0)
+est_high = sn.estimate(wide, s=3, regime="high", alpha=1.0)
 print("\nwide regime  (N=360, p=240, three-way split):")
 print(f"  branch = {est_high.branch}, parts = {est_high.parts}, "
       f"sigma_hat = {est_high.sigma_hat:.4f}")

@@ -9,7 +9,6 @@ with unit noise and then applies at any noise level.
 import numpy as np
 
 import signalnorm as sn
-from signalnorm.lowdim import TuningParams, detection_threshold
 
 n, p, s, delta, alpha = 100, 30, 3, 0.1, 1.0
 N = 2 * n
@@ -26,9 +25,7 @@ rejections = 0
 for child in rng_level.spawn(trials):
     sample = sn.synthesize(sn.ModelSpec(theta=np.zeros(p), sigma=3.0),
                            sn.Dimensions(N=N, p=p, s=s), child)
-    est = sn.estimate_lowdim(sample, s, TuningParams(alpha=alpha))
-    thr = detection_threshold(beta, est.sigma_hat, s, p, N)
-    rejections += int(est.lambda_hat >= thr)
+    rejections += sn.detect(sample, s, "low", alpha=alpha, beta=beta)[0]
 print(f"empirical level at sigma=3: {rejections / trials:.3f} (target ~ {delta})")
 
 # Power across signal strengths, in units of the reference separation radius.
@@ -41,7 +38,5 @@ for mult in (1.0, 3.0, 5.0):
         theta = sn.sample_sparse_theta(p, s, mult * radius, rng=rng)
         sample = sn.synthesize(sn.ModelSpec(theta=theta, sigma=1.0),
                                sn.Dimensions(N=N, p=p, s=s), child.spawn(1)[0])
-        est = sn.estimate_lowdim(sample, s, TuningParams(alpha=alpha))
-        thr = detection_threshold(beta, est.sigma_hat, s, p, N)
-        detections += int(est.lambda_hat >= thr)
+        detections += sn.detect(sample, s, "low", alpha=alpha, beta=beta)[0]
     print(f"  ||theta|| = {mult:.0f} x radius: power = {detections / trials:.3f}")

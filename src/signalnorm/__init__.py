@@ -7,9 +7,10 @@ The library provides:
   entry laws and reproducible seeding (:mod:`signalnorm.model`);
 - unbiased split-sample estimators of the squared signal norm, dense and
   threshold-selected sparse variants (:mod:`signalnorm.quadratic`);
-- a least squares pipeline for n > p designs and a square-root sorted-L1
-  pipeline for p >~ n designs, each with a plug-in noise estimate and a
-  calibrated detection test (:mod:`signalnorm.lowdim`,
+- one split-sample pipeline for both regimes, with a least squares
+  preliminary stage for n > p designs and a square-root sorted-L1 one for
+  p >~ n designs, each with a plug-in noise estimate, and one calibrated
+  detection test (:mod:`signalnorm.pipeline`, :mod:`signalnorm.lowdim`,
   :mod:`signalnorm.slope`, :mod:`signalnorm.highdim`);
 - closed-form lower-bound quantities describing when detection and
   estimation are impossible (:mod:`signalnorm.lower_bounds`);
@@ -28,16 +29,8 @@ from .harness import (
     summarize,
     theoretical_rate,
 )
-from .highdim import HighDimFitBundle, detect_highdim, estimate_highdim
-from .lowdim import (
-    OlsFit,
-    SingularDesignError,
-    TuningParams,
-    detect_lowdim,
-    detection_threshold,
-    estimate_lowdim,
-    ols_fit,
-)
+from .highdim import estimate_highdim
+from .lowdim import OlsFit, SingularDesignError, estimate_lowdim, ols_fit
 from .lower_bounds import (
     PriorSpec,
     RadiusBundle,
@@ -61,6 +54,7 @@ from .model import (
     synthesize,
     write_sample,
 )
+from .pipeline import detect, detection_threshold, estimate
 from .quadratic import (
     ComponentEstimates,
     FunctionalEstimate,
@@ -89,11 +83,10 @@ __all__ = [
     "write_sample", "read_sample",
     "ComponentEstimates", "FunctionalEstimate", "component_estimates",
     "debias", "q_dense", "q_sparse", "norm_from_q", "sparse_threshold",
-    "OlsFit", "TuningParams", "SingularDesignError", "ols_fit",
-    "estimate_lowdim", "detect_lowdim", "detection_threshold",
+    "OlsFit", "SingularDesignError", "ols_fit", "estimate_lowdim",
     "SlopeWeights", "SlopeFit", "slope_weights", "sorted_l1_norm",
-    "prox_sorted_l1", "sqrt_slope_fit", "sigma_srs",
-    "HighDimFitBundle", "estimate_highdim", "detect_highdim",
+    "prox_sorted_l1", "sqrt_slope_fit", "sigma_srs", "estimate_highdim",
+    "estimate", "detect", "detection_threshold",
     "PriorSpec", "RadiusBundle", "tau_from_rho", "sample_prior_theta",
     "chi2_cross", "hypergeometric_mgf_bound", "bayes_testing_risk_bound",
     "minimax_testing_lower_radius", "q_lower_bound",

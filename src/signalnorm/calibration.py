@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import pipeline
 from .model import Dimensions, ModelSpec, synthesize
+from .quadratic import FunctionalEstimate
 
-__all__ = ["calibrate_beta", "clear_cache"]
+__all__ = ["calibrate_beta", "clear_cache", "statistic"]
 
 _CACHE: dict = {}
 
@@ -25,29 +27,24 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
+def statistic(est: FunctionalEstimate, s: int, p: int) -> float:
+    """The scale-free statistic lambda_hat / (sigma_hat * rate), with the rate
+    of the detection threshold: up to rounding, it reaches beta exactly when
+    the detection rule rejects at beta."""
+    rate = pipeline.detection_threshold(1.0, 1.0, s, p, est.n_used)
+    return est.lambda_hat / (max(est.sigma_hat, np.finfo(float).tiny) * rate)
+
+
 def _null_statistics(
     p: int, N: int, s: int, regime: str, alpha: float, c1: float, trials: int, seed: int
 ) -> np.ndarray:
-    from .highdim import estimate_highdim
-    from .lowdim import TuningParams, estimate_lowdim
-
     spec = ModelSpec(theta=np.zeros(p), sigma=1.0)
     dims = Dimensions(N=N, p=p, s=s)
     root = np.random.SeedSequence(entropy=seed, spawn_key=(0xCA11B,))
     stats = np.empty(trials)
-    rate = None
     for i, child in enumerate(root.spawn(trials)):
-        sample = synthesize(spec, dims, child)
-        if regime == "low":
-            est = estimate_lowdim(sample, s, TuningParams(alpha=alpha))
-        elif regime == "high":
-            est = estimate_highdim(sample, s, alpha=alpha, c1=c1)
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
-        if rate is None:
-            n_eff = est.parts * est.n_per_split
-            rate = np.sqrt(s * np.log1p(np.sqrt(p) / s) / n_eff)
-        stats[i] = est.lambda_hat / (max(est.sigma_hat, np.finfo(float).tiny) * rate)
+        est = pipeline.estimate(synthesize(spec, dims, child), s, regime, alpha, c1)
+        stats[i] = statistic(est, s, p)
     return stats
 
 

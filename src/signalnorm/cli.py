@@ -12,9 +12,7 @@ import sys
 
 import numpy as np
 
-from . import harness, lower_bounds
-from .highdim import detect_highdim, estimate_highdim
-from .lowdim import SingularDesignError, TuningParams, detect_lowdim, estimate_lowdim
+from . import harness, lower_bounds, pipeline
 from .model import (
     Dimensions,
     ModelSpec,
@@ -107,25 +105,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_estimate(args) -> int:
     sample = read_sample(args.input)
-    if args.regime == "low":
-        est = estimate_lowdim(sample, args.s, TuningParams(alpha=args.alpha))
-    else:
-        est = estimate_highdim(sample, args.s, alpha=args.alpha, c1=args.c1, prelim=args.prelim)
+    est = pipeline.estimate(sample, args.s, args.regime, args.alpha, args.c1, args.prelim)
     print(json.dumps(est.to_dict()))
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
     sample = read_sample(args.input)
-    common = dict(delta=args.delta, calib_trials=args.calib_trials,
-                  calib_seed=args.calib_seed, full_output=True)
-    if args.regime == "low":
-        params = TuningParams(alpha=args.alpha, beta=args.beta)
-        decision, lambda_hat, threshold = detect_lowdim(sample, args.s, params, **common)
-    else:
-        decision, lambda_hat, threshold = detect_highdim(
-            sample, args.s, alpha=args.alpha, beta=args.beta, c1=args.c1, **common
-        )
+    decision, lambda_hat, threshold, _ = pipeline.detect(
+        sample, args.s, args.regime, args.alpha, args.beta, args.c1,
+        args.delta, args.calib_trials, args.calib_seed,
+    )
     print(json.dumps({"decision": decision, "lambda_hat": lambda_hat, "threshold": threshold}))
     return EXIT_OK
 
@@ -189,10 +179,8 @@ def _cmd_rates(args) -> int:
 def _cmd_lower_bound(args) -> int:
     bundle = lower_bounds.minimax_testing_lower_radius(args.p, args.N, args.s, args.delta)
     tau = lower_bounds.tau_from_rho(bundle.r)
-    mgf = lower_bounds.hypergeometric_mgf_bound(
-        args.p, min(args.s, int(np.floor(np.sqrt(args.p)))), args.N, tau
-    )
-    risk = 1.0 - np.sqrt(max(mgf - 1.0, 0.0))
+    s_prior = min(args.s, int(np.floor(np.sqrt(args.p))))
+    mgf = lower_bounds.hypergeometric_mgf_bound(args.p, s_prior, args.N, tau)
     q_bar = (
         lower_bounds.q_lower_bound(args.p, args.N, args.s, args.sigma, args.kappa)
         if args.kappa is not None
@@ -204,7 +192,7 @@ def _cmd_lower_bound(args) -> int:
         "rho": bundle.rho,
         "q_bar": q_bar,
         "mgf": mgf,
-        "bayes_risk_bound": max(float(risk), 0.0),
+        "bayes_risk_bound": lower_bounds.bayes_testing_risk_bound(args.p, s_prior, args.N, tau),
     }))
     return EXIT_OK
 
@@ -229,7 +217,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0,) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (SingularDesignError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .highdim import estimate_highdim
-from .lowdim import TuningParams, detection_threshold, estimate_lowdim
-from .model import Dimensions, ModelSpec, RegressionSample, sample_sparse_theta, synthesize
+from . import pipeline
+from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
+from .quadratic import split_parts
 
 __all__ = [
     "ExperimentConfig",
@@ -154,6 +154,14 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if not self.n:
             raise ValueError("n grid is empty")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.beta is not None and self.beta <= 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.calib_trials < 1:
+            raise ValueError("calib_trials must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -262,33 +270,20 @@ def run_single_trial(config: ExperimentConfig, point: dict, trial_seed: int) -> 
         true_lambda=float(np.sqrt(true_q)),
     )
     regime = _pick_regime(config.regime, n, p)
-    parts = 2 if regime == "low" else (3 if s * s <= p else 2)
     try:
         spec = ModelSpec(theta=theta, sigma=sigma, design=config.design, noise=config.noise)
-        dims = Dimensions(N=parts * n, p=p, s=s)
+        dims = Dimensions(N=split_parts(regime, s, p) * n, p=p, s=s)
         sample = synthesize(spec, dims, ss_sample)
-        if regime == "low":
-            est = estimate_lowdim(sample, s, TuningParams(alpha=config.alpha))
-        else:
-            est = estimate_highdim(sample, s, alpha=config.alpha, c1=config.c1)
+        est = pipeline.estimate(sample, s, regime, config.alpha, config.c1)
         record.q_hat = est.q_hat
         record.lambda_hat = est.lambda_hat
         record.err_q = est.q_hat - record.true_q
         record.err_lambda = est.lambda_hat - record.true_lambda
         if config.task == "detect":
-            beta = config.beta
-            if beta is None:
-                from .calibration import calibrate_beta
-
-                beta = calibrate_beta(
-                    p=p, N=est.parts * est.n_per_split, s=s, delta=config.delta,
-                    regime=regime, alpha=config.alpha, c1=config.c1,
-                    trials=config.calib_trials, seed=config.seed,
-                )
-            threshold = detection_threshold(
-                beta, est.sigma_hat, s, p, est.parts * est.n_per_split
-            )
-            record.decision = int(est.lambda_hat >= threshold)
+            record.decision = pipeline.decide(
+                est, s, p, config.alpha, config.beta, config.c1, config.delta,
+                config.calib_trials, config.seed,
+            )[0]
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     return record

@@ -1,40 +1,23 @@
-"""Estimation and detection pipeline for designs with many more columns than rows.
+"""Preliminary stage for designs with many more columns than rows.
 
 The preliminary estimate is the square-root sorted-L1 fit, which needs no
 noise level input.  The dense branch (s > sqrt(p)) uses a two-way split;
 the sparse branch (s <= sqrt(p)) uses a three-way split: the fit and its
 noise estimate come from block 1, the screening vector is the debiased
-correction computed on block 3, and the quadratic estimator runs on block 2,
-so the triplet feeding the selection is independent of the block being
-summed.
+correction computed on block 3, and the shared quadratic stage runs on
+block 2, so the triplet feeding the selection is independent of the block
+being summed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lowdim import detection_threshold
 from .model import RegressionSample, split_sample
-from .quadratic import FunctionalEstimate, debias, norm_from_q, q_dense, q_sparse
-from .slope import SlopeFit, sqrt_slope_fit
+from .quadratic import FunctionalEstimate, debias, quadratic_stage, split_parts
+from .slope import sqrt_slope_fit
 
-__all__ = ["HighDimFitBundle", "estimate_highdim", "detect_highdim"]
-
-
-@dataclass
-class HighDimFitBundle:
-    """Preliminary fit plus, on the sparse branch, the debiased screening
-    vector and the inflated noise scale used in the selection threshold."""
-
-    slope_fit: SlopeFit
-    theta_tilde: np.ndarray | None = None
-    sigma_used: float | None = None
-
-
-def _is_sparse_branch(s: int, p: int) -> bool:
-    return s * s <= p
+__all__ = ["estimate_highdim"]
 
 
 def estimate_highdim(
@@ -59,110 +42,31 @@ def estimate_highdim(
     if not 1 <= s <= p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={p}")
     if prelim == "zero":
-        q_hat = q_dense(np.zeros(p), sample.X, sample.Y)
-        return FunctionalEstimate(
-            q_hat=q_hat,
-            lambda_hat=norm_from_q(q_hat),
-            sigma_hat=None,
-            branch="dense",
-            regime="high",
-            n_per_split=sample.N,
-            parts=1,
-            threshold=None,
-            split_tags={"quadratic": 0},
+        return quadratic_stage(
+            np.zeros(p), None, sample.X, sample.Y, s, alpha, None,
+            regime="high", n_per_split=sample.N, parts=1, split_tags={"quadratic": 0},
         )
     if prelim != "srs":
         raise ValueError(f"unknown preliminary {prelim!r}; expected 'srs' or 'zero'")
 
-    sparse = _is_sparse_branch(s, p)
-    parts = 3 if sparse else 2
+    parts = split_parts("high", s, p)
     split = split_sample(sample, parts)
     (X1, Y1), (X2, Y2) = split.subsamples[0], split.subsamples[1]
     n = split.n
     fit = sqrt_slope_fit(X1, Y1, c1=c1, max_iter=max_iter, tol=tol)
-
-    if sparse:
+    screening = None
+    tags = {"prelim": 0, "quadratic": 1}
+    if parts == 3:
         X3, Y3 = split.subsamples[2]
-        theta_tilde = debias(fit.theta_hat, X3, Y3)
         # Selection threshold alpha * sqrt(2) sigma_hat * sqrt(log(1 + p/s^2) / n):
         # the screening vector is Gaussian-like with variance ~ 2 sigma^2 / n
-        # around theta, hence the inflated scale and the 1/n inside the root.
-        sigma_used = np.sqrt(2.0) * fit.sigma_hat
-        if sigma_used <= 0:
-            sigma_used = np.finfo(float).tiny  # interpolation: threshold collapses to 0
-        q_hat = q_sparse(fit.theta_hat, theta_tilde, sigma_used, 1.0 / n, alpha, s, X2, Y2)
-        threshold = float(alpha * sigma_used * np.sqrt(np.log1p(p / s**2) / n))
-        tags = {"prelim": 0, "quadratic": 1, "debias": 2}
-        branch = "sparse"
-    else:
-        q_hat = q_dense(fit.theta_hat, X2, Y2)
-        threshold = None
-        tags = {"prelim": 0, "quadratic": 1}
-        branch = "dense"
-
-    return FunctionalEstimate(
-        q_hat=q_hat,
-        lambda_hat=norm_from_q(q_hat),
-        sigma_hat=fit.sigma_hat,
-        branch=branch,
-        regime="high",
-        n_per_split=n,
-        parts=parts,
-        threshold=threshold,
-        split_tags=tags,
+        # around theta, hence the inflated scale and the diagonal 1/n.
+        scale = np.sqrt(2.0) * fit.sigma_hat
+        if scale <= 0:
+            scale = np.finfo(float).tiny  # interpolation: threshold collapses to 0
+        screening = (debias(fit.theta_hat, X3, Y3), scale, np.full(p, 1.0 / n))
+        tags["debias"] = 2
+    return quadratic_stage(
+        fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
+        regime="high", n_per_split=n, parts=parts, split_tags=tags,
     )
-
-
-def fit_bundle(
-    sample: RegressionSample, s: int, c1: float = 1.5, max_iter: int = 10000, tol: float = 1e-8
-) -> HighDimFitBundle:
-    """The preliminary fit objects behind :func:`estimate_highdim`, exposed
-    for audits: `theta_tilde` and `sigma_used` are present iff the branch
-    is sparse."""
-    sparse = _is_sparse_branch(s, sample.p)
-    parts = 3 if sparse else 2
-    split = split_sample(sample, parts)
-    X1, Y1 = split.subsamples[0]
-    fit = sqrt_slope_fit(X1, Y1, c1=c1, max_iter=max_iter, tol=tol)
-    if not sparse:
-        return HighDimFitBundle(slope_fit=fit)
-    X3, Y3 = split.subsamples[2]
-    return HighDimFitBundle(
-        slope_fit=fit,
-        theta_tilde=debias(fit.theta_hat, X3, Y3),
-        sigma_used=float(np.sqrt(2.0) * fit.sigma_hat),
-    )
-
-
-def detect_highdim(
-    sample: RegressionSample,
-    s: int,
-    alpha: float = 4.0,
-    beta: float | None = None,
-    c1: float = 1.5,
-    delta: float = 0.1,
-    calib_trials: int = 2000,
-    calib_seed: int = 0,
-    full_output: bool = False,
-):
-    """Signal detection in the p >~ n regime: 1 if the norm estimate reaches
-    beta * sigma_hat * sqrt(s log(1 + sqrt(p)/s) / N), else 0.
-
-    N counts the rows actually consumed (parts * n).  When `beta` is None it
-    is calibrated by simulating the null at level `delta` (cached).  With
-    ``full_output=True`` returns ``(decision, lambda_hat, threshold)``.
-    """
-    est = estimate_highdim(sample, s, alpha=alpha, c1=c1)
-    n_eff = est.parts * est.n_per_split
-    if beta is None:
-        from .calibration import calibrate_beta
-
-        beta = calibrate_beta(
-            p=sample.p, N=n_eff, s=s, delta=delta, regime="high",
-            alpha=alpha, c1=c1, trials=calib_trials, seed=calib_seed,
-        )
-    threshold = detection_threshold(beta, est.sigma_hat, s, sample.p, n_eff)
-    decision = int(est.lambda_hat >= threshold)
-    if full_output:
-        return decision, est.lambda_hat, threshold
-    return decision

@@ -1,11 +1,10 @@
-"""Estimation and detection pipeline for designs with more rows than columns.
+"""Preliminary stage for designs with more rows than columns.
 
 The sample is split in two; an ordinary least squares fit on the first block
 provides the preliminary estimate and the residual-based noise estimate, and
-the second block feeds the quadratic estimators.  The dense branch sums all
-coordinate estimates; the sparse branch (s <= sqrt(p)) keeps only the
-coordinates whose OLS value clears a per-coordinate threshold scaled by the
-diagonal of the inverse Gram matrix.
+the second block feeds the shared quadratic stage.  On the sparse branch
+(s <= sqrt(p)) the screening vector is the OLS fit itself, with the
+per-coordinate threshold scaled by the diagonal of the inverse Gram matrix.
 """
 
 from __future__ import annotations
@@ -15,22 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RegressionSample, split_sample
-from .quadratic import (
-    FunctionalEstimate,
-    norm_from_q,
-    q_dense,
-    q_sparse,
-    sparse_threshold,
-)
+from .quadratic import FunctionalEstimate, quadratic_stage
 
 __all__ = [
     "SingularDesignError",
     "OlsFit",
-    "TuningParams",
     "ols_fit",
     "estimate_lowdim",
-    "detect_lowdim",
-    "detection_threshold",
 ]
 
 # Designs whose smallest singular value falls below this fraction of the
@@ -52,20 +42,6 @@ class OlsFit:
     sigma_hat: float
     n: int
     p: int
-
-
-@dataclass
-class TuningParams:
-    """Selection constant alpha and test constant beta (None = calibrate)."""
-
-    alpha: float = 4.0
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
@@ -93,87 +69,21 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     return OlsFit(theta_hat=theta_hat, gram_inverse=gram_inverse, sigma_hat=sigma_hat, n=n, p=p)
 
 
-def detection_threshold(beta: float, sigma_hat: float, s: int, p: int, N: int) -> float:
-    """Detection boundary beta * sigma_hat * sqrt(s * log(1 + sqrt(p)/s) / N)."""
-    return float(beta * sigma_hat * np.sqrt(s * np.log1p(np.sqrt(p) / s) / N))
-
-
-def _is_sparse_branch(s: int, p: int) -> bool:
-    # Sparse zone is s <= sqrt(p); the boundary s^2 = p is included.
-    return s * s <= p
-
-
-def estimate_lowdim(
-    sample: RegressionSample, s: int, params: TuningParams | None = None
-) -> FunctionalEstimate:
+def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> FunctionalEstimate:
     """Estimate the squared norm and the norm in the n > p regime.
 
-    Splits the sample in two, fits OLS on block 1, and evaluates the dense
-    estimator (s > sqrt(p)) or the thresholded sparse estimator
-    (s <= sqrt(p), with screening on the OLS coefficients themselves and
-    threshold matrix (X1^T X1)^{-1}) on block 2.
+    Splits the sample in two, fits OLS on block 1, and runs the shared
+    quadratic stage on block 2 with the OLS coefficients as screening vector
+    and threshold diagonal diag((X1^T X1)^{-1}).
     """
-    params = params or TuningParams()
     if not 1 <= s <= sample.p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={sample.p}")
     split = split_sample(sample, 2)
     (X1, Y1), (X2, Y2) = split.subsamples
     fit = ols_fit(X1, Y1)
-    p = sample.p
-    if _is_sparse_branch(s, p):
-        threshold = sparse_threshold(fit.sigma_hat, fit.gram_inverse, params.alpha, p, s)
-        q_hat = q_sparse(
-            fit.theta_hat, fit.theta_hat, fit.sigma_hat, fit.gram_inverse,
-            params.alpha, s, X2, Y2,
-        )
-        branch = "sparse"
-    else:
-        threshold = None
-        q_hat = q_dense(fit.theta_hat, X2, Y2)
-        branch = "dense"
-    return FunctionalEstimate(
-        q_hat=q_hat,
-        lambda_hat=norm_from_q(q_hat),
-        sigma_hat=fit.sigma_hat,
-        branch=branch,
-        regime="low",
-        n_per_split=split.n,
-        parts=2,
-        threshold=threshold,
+    screening = (fit.theta_hat, fit.sigma_hat, np.diag(fit.gram_inverse))
+    return quadratic_stage(
+        fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
+        regime="low", n_per_split=split.n, parts=2,
         split_tags={"prelim": 0, "quadratic": 1},
     )
-
-
-def detect_lowdim(
-    sample: RegressionSample,
-    s: int,
-    params: TuningParams | None = None,
-    delta: float = 0.1,
-    calib_trials: int = 2000,
-    calib_seed: int = 0,
-    full_output: bool = False,
-):
-    """Signal detection in the n > p regime: 1 if the norm estimate reaches
-    beta * sigma_hat * sqrt(s log(1 + sqrt(p)/s) / N), else 0.
-
-    N is the number of rows actually consumed (parts * n).  When
-    ``params.beta`` is None, beta is calibrated by simulating the null at
-    level `delta` (cached per configuration).  With ``full_output=True``
-    returns ``(decision, lambda_hat, threshold)``.
-    """
-    params = params or TuningParams()
-    est = estimate_lowdim(sample, s, params)
-    n_eff = est.parts * est.n_per_split
-    beta = params.beta
-    if beta is None:
-        from .calibration import calibrate_beta
-
-        beta = calibrate_beta(
-            p=sample.p, N=n_eff, s=s, delta=delta, regime="low",
-            alpha=params.alpha, trials=calib_trials, seed=calib_seed,
-        )
-    threshold = detection_threshold(beta, est.sigma_hat, s, sample.p, n_eff)
-    decision = int(est.lambda_hat >= threshold)
-    if full_output:
-        return decision, est.lambda_hat, threshold
-    return decision

@@ -137,6 +137,8 @@ class RegressionSample:
             raise ValueError(
                 f"row mismatch: X has {self.X.shape[0]} rows, Y has {self.Y.shape[0]}"
             )
+        if not (np.isfinite(self.X).all() and np.isfinite(self.Y).all()):
+            raise ValueError("X and Y must be finite: found NaN or infinity")
 
     @property
     def N(self) -> int:

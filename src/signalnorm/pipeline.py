@@ -1,0 +1,88 @@
+"""One entry point per task for both regimes, and the one detection rule.
+
+Both regimes run the same split-sample pipeline and differ only in the
+preliminary stage: least squares for n > p (:mod:`signalnorm.lowdim`), the
+square-root sorted-L1 fit for p >~ n (:mod:`signalnorm.highdim`).  The test
+compares the norm estimate with :func:`detection_threshold`, where N counts
+the rows the estimate consumed and beta, when not given, is calibrated on
+simulated nulls (:mod:`signalnorm.calibration`).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import calibration, highdim, lowdim
+from .model import RegressionSample
+from .quadratic import FunctionalEstimate
+
+__all__ = ["estimate", "detect", "decide", "detection_threshold"]
+
+
+def detection_threshold(beta: float, sigma_hat: float, s: int, p: int, N: int) -> float:
+    """Detection boundary beta * sigma_hat * sqrt(s * log(1 + sqrt(p)/s) / N)."""
+    return float(beta * sigma_hat * np.sqrt(s * np.log1p(np.sqrt(p) / s) / N))
+
+
+def estimate(
+    sample: RegressionSample,
+    s: int,
+    regime: str,
+    alpha: float = 4.0,
+    c1: float = 1.5,
+    prelim: str = "srs",
+) -> FunctionalEstimate:
+    """Estimate the squared norm and the norm; `regime` is "low" (n > p) or
+    "high" (p >~ n).  `c1` and `prelim` apply to the high regime only."""
+    if regime == "low":
+        return lowdim.estimate_lowdim(sample, s, alpha=alpha)
+    if regime == "high":
+        return highdim.estimate_highdim(sample, s, alpha=alpha, c1=c1, prelim=prelim)
+    raise ValueError(f"unknown regime {regime!r}; expected 'low' or 'high'")
+
+
+def decide(
+    est: FunctionalEstimate,
+    s: int,
+    p: int,
+    alpha: float = 4.0,
+    beta: float | None = None,
+    c1: float = 1.5,
+    delta: float = 0.1,
+    calib_trials: int = 2000,
+    calib_seed: int = 0,
+) -> tuple[int, float, float]:
+    """The detection rule applied to an estimate: ``(decision, threshold, beta)``.
+
+    When `beta` is None it is calibrated at level `delta` under the null of
+    the estimate's regime, with the same `alpha` and `c1` (cached).
+    """
+    if beta is None:
+        beta = calibration.calibrate_beta(
+            p=p, N=est.n_used, s=s, delta=delta, regime=est.regime,
+            alpha=alpha, c1=c1, trials=calib_trials, seed=calib_seed,
+        )
+    elif beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    threshold = detection_threshold(beta, est.sigma_hat, s, p, est.n_used)
+    return int(est.lambda_hat >= threshold), threshold, beta
+
+
+def detect(
+    sample: RegressionSample,
+    s: int,
+    regime: str,
+    alpha: float = 4.0,
+    beta: float | None = None,
+    c1: float = 1.5,
+    delta: float = 0.1,
+    calib_trials: int = 2000,
+    calib_seed: int = 0,
+) -> tuple[int, float, float, float]:
+    """Test theta = 0: ``(decision, lambda_hat, threshold, beta)``, with
+    decision 1 when the norm estimate reaches the detection threshold."""
+    est = estimate(sample, s, regime, alpha, c1)
+    decision, threshold, beta = decide(
+        est, s, sample.p, alpha, beta, c1, delta, calib_trials, calib_seed
+    )
+    return decision, est.lambda_hat, threshold, beta

@@ -9,7 +9,7 @@ estimate clears a noise-calibrated threshold gives the sparse one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,9 @@ __all__ = [
     "q_sparse",
     "norm_from_q",
     "sparse_threshold",
+    "sparse_branch",
+    "split_parts",
+    "quadratic_stage",
 ]
 
 
@@ -31,7 +34,6 @@ class ComponentEstimates:
 
     a: np.ndarray
     prelim: np.ndarray
-    split_tag: int | None = None
 
 
 @dataclass
@@ -45,30 +47,23 @@ class FunctionalEstimate:
     regime: str = "low"  # "low" | "high"
     n_per_split: int | None = None
     parts: int | None = None
-    threshold: float | np.ndarray | None = None
+    threshold: float | None = None  # largest per-coordinate selection threshold
     split_tags: dict = field(default_factory=dict)
 
+    @property
+    def n_used(self) -> int:
+        """Rows the estimate consumed: the N of the detection rate."""
+        return self.parts * self.n_per_split
+
     def to_dict(self) -> dict:
-        thr = self.threshold
-        if isinstance(thr, np.ndarray):
-            thr = float(np.max(thr)) if thr.size else None
-        return {
-            "q_hat": self.q_hat,
-            "lambda_hat": self.lambda_hat,
-            "sigma_hat": self.sigma_hat,
-            "branch": self.branch,
-            "regime": self.regime,
-            "n_per_split": self.n_per_split,
-            "parts": self.parts,
-            "threshold": thr,
-        }
+        """Every field but the split provenance, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "split_tags"}
 
 
 def component_estimates(
     prelim: np.ndarray,
     X2: np.ndarray,
     Y2: np.ndarray,
-    split_tag: int | None = None,
 ) -> ComponentEstimates:
     """Centered per-coordinate estimates of theta_j^2 from a fresh block.
 
@@ -95,7 +90,7 @@ def component_estimates(
     col_sq = (weighted**2).sum(axis=0)
     pair_sum = (col_dot**2 - col_sq) / (n * (n - 1))
     a = prelim**2 + (2.0 / n) * prelim * col_dot + pair_sum
-    return ComponentEstimates(a=a, prelim=prelim, split_tag=split_tag)
+    return ComponentEstimates(a=a, prelim=prelim)
 
 
 def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -117,29 +112,25 @@ def q_dense(prelim: np.ndarray, X2: np.ndarray, Y2: np.ndarray) -> float:
     return float(component_estimates(prelim, X2, Y2).a.sum())
 
 
-def _threshold_diagonal(M, p: int) -> np.ndarray:
-    """Diagonal of the threshold matrix M, accepting scalar, vector or matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 0:
-        diag = np.full(p, float(M))
-    elif M.ndim == 1:
-        if M.shape[0] != p:
-            raise ValueError(f"threshold diagonal has length {M.shape[0]}, expected {p}")
-        diag = M
-    elif M.ndim == 2:
-        if M.shape != (p, p):
-            raise ValueError(f"threshold matrix has shape {M.shape}, expected ({p}, {p})")
-        diag = np.diag(M)
-    else:
-        raise ValueError("threshold matrix must be scalar, vector or 2-d")
+def sparse_branch(s: int, p: int) -> bool:
+    """Sparse zone s <= sqrt(p); the boundary s^2 = p is included."""
+    return s * s <= p
+
+
+def split_parts(regime: str, s: int, p: int) -> int:
+    """Row blocks a pipeline consumes: the high-dimensional sparse branch adds
+    an independent screening block to the preliminary and quadratic ones."""
+    return 3 if regime == "high" and sparse_branch(s, p) else 2
+
+
+def sparse_threshold(sigma_hat: float, diag, alpha: float, p: int, s: int) -> np.ndarray:
+    """Per-coordinate selection threshold alpha * sigma_hat * sqrt(M_jj * log(1 + p/s^2)),
+    given the length-p diagonal M_jj of the threshold matrix."""
+    diag = np.asarray(diag, dtype=float)
+    if diag.shape != (p,):
+        raise ValueError(f"threshold diagonal has shape {diag.shape}, expected ({p},)")
     if np.any(diag < 0):
         raise ValueError("threshold matrix has negative diagonal entries")
-    return diag
-
-
-def sparse_threshold(sigma_hat: float, M, alpha: float, p: int, s: int) -> np.ndarray:
-    """Per-coordinate selection threshold alpha * sigma_hat * sqrt(M_jj * log(1 + p/s^2))."""
-    diag = _threshold_diagonal(M, p)
     return alpha * sigma_hat * np.sqrt(diag * np.log1p(p / s**2))
 
 
@@ -147,7 +138,7 @@ def q_sparse(
     prelim: np.ndarray,
     bar_theta: np.ndarray,
     sigma_hat: float,
-    M,
+    diag,
     alpha: float,
     s: int,
     X2: np.ndarray,
@@ -171,7 +162,7 @@ def q_sparse(
     p = comps.a.shape[0]
     if bar_theta.shape[0] != p:
         raise ValueError("bar_theta length does not match p")
-    tau = sparse_threshold(sigma_hat, M, alpha, p, s)
+    tau = sparse_threshold(sigma_hat, diag, alpha, p, s)
     keep = np.abs(bar_theta) > tau
     return float(comps.a[keep].sum())
 
@@ -179,3 +170,45 @@ def q_sparse(
 def norm_from_q(q_hat: float) -> float:
     """Norm estimate |q_hat|^(1/2); the absolute value keeps it defined when q_hat < 0."""
     return float(np.sqrt(abs(q_hat)))
+
+
+def quadratic_stage(
+    prelim: np.ndarray,
+    sigma_hat: float,
+    X2: np.ndarray,
+    Y2: np.ndarray,
+    s: int,
+    alpha: float,
+    screening: tuple | None,
+    **provenance,
+) -> FunctionalEstimate:
+    """The stage both pipelines share once their preliminary stage has run.
+
+    Evaluates on the fresh block (X2, Y2) the dense estimator (s > sqrt(p))
+    or the sparse one (s <= sqrt(p)).  The sparse branch selects with
+    `screening`, the triple (bar_theta, scale, diag) of the screening
+    vector, the noise scale of the threshold and its length-p diagonal;
+    without a screening triple (no preliminary fit) the estimate is dense.
+    `provenance` holds the remaining :class:`FunctionalEstimate` fields
+    (regime, n_per_split, parts, split_tags).
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    p = X2.shape[1]
+    if screening is not None and sparse_branch(s, p):
+        bar_theta, scale, diag = screening
+        threshold = float(np.max(sparse_threshold(scale, diag, alpha, p, s)))
+        q_hat = q_sparse(prelim, bar_theta, scale, diag, alpha, s, X2, Y2)
+        branch = "sparse"
+    else:
+        threshold = None
+        q_hat = q_dense(prelim, X2, Y2)
+        branch = "dense"
+    return FunctionalEstimate(
+        q_hat=q_hat,
+        lambda_hat=norm_from_q(q_hat),
+        sigma_hat=sigma_hat,
+        branch=branch,
+        threshold=threshold,
+        **provenance,
+    )

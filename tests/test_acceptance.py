@@ -14,7 +14,6 @@ import pytest
 
 import signalnorm as sn
 from signalnorm.calibration import calibrate_beta, clear_cache
-from signalnorm.lowdim import TuningParams, detection_threshold
 
 
 def _emit(num, name, ok, detail):
@@ -195,7 +194,6 @@ def test_07_detection_level_and_power():
     clear_cache()
     beta = calibrate_beta(p=p, N=N, s=s, delta=delta, regime="low", alpha=alpha,
                           trials=2000, seed=1234)
-    params = TuningParams(alpha=alpha)
 
     null_trials = 2000
     rejections = 0
@@ -203,8 +201,8 @@ def test_07_detection_level_and_power():
         sample = sn.synthesize(
             sn.ModelSpec(theta=np.zeros(p), sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child
         )
-        est = sn.estimate_lowdim(sample, s, params)
-        rejections += int(est.lambda_hat >= detection_threshold(beta, est.sigma_hat, s, p, N))
+        est = sn.estimate_lowdim(sample, s, alpha=alpha)
+        rejections += int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
     level = rejections / null_trials
 
     alt_trials = 1000
@@ -216,8 +214,8 @@ def test_07_detection_level_and_power():
         sample = sn.synthesize(
             sn.ModelSpec(theta=theta, sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child.spawn(1)[0]
         )
-        est = sn.estimate_lowdim(sample, s, params)
-        detections += int(est.lambda_hat >= detection_threshold(beta, est.sigma_hat, s, p, N))
+        est = sn.estimate_lowdim(sample, s, alpha=alpha)
+        detections += int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
     power = detections / alt_trials
 
     ok = level <= delta + 0.03 and power >= 0.9

@@ -138,6 +138,25 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
     assert code == EXIT_CONFIG
+    # tuning that the config rejects when it loads
+    for key, value in (("alpha", -1.0), ("beta", 0.0), ("delta", 1.5), ("calib_trials", 0)):
+        bad3 = tmp_path / f"bad-{key}.json"
+        bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
+        code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == EXIT_CONFIG, key
+    high = tmp_path / "bad-high.json"
+    high.write_text(json.dumps({"seed": 1, "regime": "high", "s_rule": "p", "alpha": -3.0}))
+    code = main(["simulate", "--config", str(high), "--out-dir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == EXIT_CONFIG
+    # a NaN in the sample, in either regime
+    nan_csv = tmp_path / "nan.csv"
+    rows = [f"{i},{i % 3},1.5" for i in range(12)] + ["nan,1,2"]
+    nan_csv.write_text("y,x1,x2\n" + "\n".join(rows) + "\n")
+    for regime in ("low", "high"):
+        code = main(["estimate", "--regime", regime, "--s", "1", "--input", str(nan_csv)])
+        assert code == EXIT_CONFIG and "finite" in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

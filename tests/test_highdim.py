@@ -8,7 +8,7 @@ from signalnorm import (
     ModelSpec,
     RegressionSample,
     debias,
-    detect_highdim,
+    detect,
     detection_threshold,
     estimate_highdim,
     q_dense,
@@ -19,7 +19,6 @@ from signalnorm import (
     synthesize,
 )
 from signalnorm.calibration import calibrate_beta, clear_cache
-from signalnorm.highdim import fit_bundle
 
 
 def _sample(N, p, theta=None, sigma=1.0, seed=0):
@@ -79,16 +78,9 @@ class TestEstimateHighdim:
         fit = sqrt_slope_fit(X1, Y1, c1=c1)
         tilde = debias(fit.theta_hat, X3, Y3)
         sigma_used = np.sqrt(2.0) * fit.sigma_hat
-        expected = q_sparse(fit.theta_hat, tilde, sigma_used, 1.0 / 3, alpha, 1, X2, Y2)
+        expected = q_sparse(fit.theta_hat, tilde, sigma_used, np.full(2, 1.0 / 3), alpha, 1, X2, Y2)
         assert est.q_hat == pytest.approx(expected, rel=1e-12)
         assert est.sigma_hat == pytest.approx(fit.sigma_hat, rel=1e-12)
-
-    def test_bundle_fields_by_branch(self):
-        sparse = fit_bundle(_sample(90, 64, seed=8), s=4)
-        assert sparse.theta_tilde is not None
-        assert sparse.sigma_used == pytest.approx(np.sqrt(2) * sparse.slope_fit.sigma_hat)
-        dense = fit_bundle(_sample(40, 16, seed=9), s=10)
-        assert dense.theta_tilde is None and dense.sigma_used is None
 
     def test_prelim_zero_fallback(self):
         """The no-preliminary variant runs on the full sample, dense branch."""
@@ -128,11 +120,11 @@ class TestDetectHighdim:
         p, n = 50, 60
         theta = sample_sparse_theta(p, 3, 25.0, rng=rng)
         sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=3 * n, p=p, s=3), 14)
-        decision, lam, thr = detect_highdim(sample, 3, alpha=1.0, beta=2.0, full_output=True)
+        decision, lam, thr, _ = detect(sample, 3, "high", alpha=1.0, beta=2.0)
         assert decision == 1 and lam >= thr
 
     def test_null_with_huge_beta_accepts(self):
-        assert detect_highdim(_sample(90, 50, seed=15), 3, alpha=1.0, beta=200.0) == 0
+        assert detect(_sample(90, 50, seed=15), 3, "high", alpha=1.0, beta=200.0)[0] == 0
 
     def test_calibrated_level(self):
         """Null rejection rate at the calibrated constant stays within delta + 0.03."""
@@ -147,6 +139,5 @@ class TestDetectHighdim:
             sample = synthesize(
                 ModelSpec(theta=np.zeros(p), sigma=1.0), Dimensions(N=N, p=p, s=s), child
             )
-            decision, lam, thr = detect_highdim(sample, s, alpha=alpha, beta=beta, full_output=True)
-            rejections += decision
+            rejections += detect(sample, s, "high", alpha=alpha, beta=beta)[0]
         assert rejections / trials <= delta + 0.03

@@ -8,8 +8,7 @@ from signalnorm import (
     ModelSpec,
     RegressionSample,
     SingularDesignError,
-    TuningParams,
-    detect_lowdim,
+    detect,
     detection_threshold,
     estimate_lowdim,
     fit_rate,
@@ -61,15 +60,6 @@ class TestOlsFit:
             ols_fit(np.ones((3, 3)), np.ones(3))
 
 
-class TestTuningParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TuningParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            TuningParams(beta=-1.0)
-        assert TuningParams().beta is None
-
-
 class TestBranchRule:
     @pytest.mark.parametrize("s,p,branch", [(3, 4, "dense"), (2, 9, "sparse"), (3, 9, "sparse")])
     def test_branch_selection(self, s, p, branch):
@@ -89,7 +79,7 @@ class TestEstimateLowdim:
         Y = (X @ theta) + 0.5 * rng.standard_normal(8)
         sample = RegressionSample(X=X, Y=Y)
         alpha = 2.0
-        est = estimate_lowdim(sample, 1, TuningParams(alpha=alpha))
+        est = estimate_lowdim(sample, 1, alpha=alpha)
 
         # scripted replay with raw arithmetic
         X1, Y1, X2, Y2 = X[:4], Y[:4], X[4:], Y[4:]
@@ -152,11 +142,10 @@ class TestDetectLowdim:
         p, N = 4, 200
         theta = sample_sparse_theta(p, 2, 20.0, rng=rng)
         strong = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=N, p=p, s=2), 9)
-        params = TuningParams(alpha=1.0, beta=2.0)
-        decision, lam, thr = detect_lowdim(strong, 2, params, full_output=True)
-        assert decision == 1 and lam >= thr
+        decision, lam, thr, beta = detect(strong, 2, "low", alpha=1.0, beta=2.0)
+        assert decision == 1 and lam >= thr and beta == 2.0
         null = _gaussian_sample(N, p, seed=10)
-        assert detect_lowdim(null, 2, TuningParams(alpha=1.0, beta=50.0)) == 0
+        assert detect(null, 2, "low", alpha=1.0, beta=50.0)[0] == 0
 
     def test_calibrated_level_small_dims(self):
         """Empirical rejection rate under the null stays within delta + 0.03."""
@@ -170,7 +159,7 @@ class TestDetectLowdim:
             sample = synthesize(
                 ModelSpec(theta=np.zeros(p), sigma=1.0), Dimensions(N=N, p=p, s=s), child
             )
-            est = estimate_lowdim(sample, s, TuningParams(alpha=alpha))
+            est = estimate_lowdim(sample, s, alpha=alpha)
             thr = detection_threshold(beta, est.sigma_hat, s, p, N)
             rejections += int(est.lambda_hat >= thr)
         assert rejections / trials <= delta + 0.03

@@ -10,7 +10,6 @@ from signalnorm import (
     ModelSpec,
     PriorSpec,
     RegressionSample,
-    TuningParams,
     bayes_testing_risk_bound,
     chi2_cross,
     detection_threshold,
@@ -231,13 +230,13 @@ def test_no_test_beats_the_bayes_bound():
     det_type1 = 0
     for child in np.random.SeedSequence(41).spawn(trials):
         sample = synthesize(ModelSpec(theta=np.zeros(p), sigma=1.0), Dimensions(N=N, p=p, s=s), child)
-        est = estimate_lowdim(sample, s, TuningParams(alpha=1.0))
+        est = estimate_lowdim(sample, s, alpha=1.0)
         det_type1 += int(est.lambda_hat >= detection_threshold(beta, est.sigma_hat, s, p, N))
     det_type2 = 0
     for _ in range(trials):
         theta = sample_prior_theta(PriorSpec(p=p, s=s, tau=tau), rng)
         X = rng.standard_normal((N, p))
         Y = X @ theta + sigma_alt * rng.standard_normal(N)
-        est = estimate_lowdim(RegressionSample(X=X, Y=Y), s, TuningParams(alpha=1.0))
+        est = estimate_lowdim(RegressionSample(X=X, Y=Y), s, alpha=1.0)
         det_type2 += int(est.lambda_hat < detection_threshold(beta, est.sigma_hat, s, p, N))
     assert det_type1 / trials + det_type2 / trials >= bound - 3 * se

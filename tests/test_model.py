@@ -189,3 +189,18 @@ class TestDimensions:
             Dimensions(N=4, p=1, s=1)
         with pytest.raises(ValueError):
             Dimensions(N=4, p=3, s=4)
+
+
+class TestRegressionSample:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.ones((4, 2))
+        Y = np.ones(4)
+        X_bad = X.copy()
+        X_bad[1, 0] = bad
+        Y_bad = Y.copy()
+        Y_bad[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RegressionSample(X=X_bad, Y=Y)
+        with pytest.raises(ValueError, match="finite"):
+            RegressionSample(X=X, Y=Y_bad)

@@ -123,7 +123,7 @@ class TestQSparse:
 
     def test_huge_alpha_kills_everything(self):
         X2, Y2 = self._toy()
-        out = q_sparse(np.zeros(2), np.array([5.0, 5.0]), 1.0, np.eye(2), 1e6, 1, X2, Y2)
+        out = q_sparse(np.zeros(2), np.array([5.0, 5.0]), 1.0, np.ones(2), 1e6, 1, X2, Y2)
         assert out == 0.0
 
     def test_zero_alpha_equals_dense(self):
@@ -131,7 +131,7 @@ class TestQSparse:
         rng = np.random.default_rng(8)
         prelim = rng.standard_normal(2)
         bar = rng.standard_normal(2)  # almost surely nonzero
-        assert q_sparse(prelim, bar, 1.0, np.eye(2), 0.0, 1, X2, Y2) == pytest.approx(
+        assert q_sparse(prelim, bar, 1.0, np.ones(2), 0.0, 1, X2, Y2) == pytest.approx(
             q_dense(prelim, X2, Y2), rel=1e-12
         )
 
@@ -139,7 +139,7 @@ class TestQSparse:
         """p=2, s=1, threshold sqrt(log 3): only the first coordinate survives."""
         X2, Y2 = self._toy()
         a = naive_components(np.zeros(2), X2, Y2)
-        out = q_sparse(np.zeros(2), np.array([5.0, 0.001]), 1.0, np.eye(2), 1.0, 1, X2, Y2)
+        out = q_sparse(np.zeros(2), np.array([5.0, 0.001]), 1.0, np.ones(2), 1.0, 1, X2, Y2)
         assert out == pytest.approx(a[0], rel=1e-12)
         # and the second coordinate is genuinely below sqrt(log 3) ~ 1.0481
         assert abs(0.001) < np.sqrt(np.log(3.0))
@@ -147,22 +147,22 @@ class TestQSparse:
     def test_tie_excluded(self):
         """Equality with the threshold does not select the coordinate."""
         X2, Y2 = self._toy()
-        tau = np.sqrt(np.log1p(2.0))  # alpha=1, sigma=1, M=I, s=1
-        out = q_sparse(np.zeros(2), np.array([tau, 0.0]), 1.0, np.eye(2), 1.0, 1, X2, Y2)
+        tau = np.sqrt(np.log1p(2.0))  # alpha=1, sigma=1, diagonal 1, s=1
+        out = q_sparse(np.zeros(2), np.array([tau, 0.0]), 1.0, np.ones(2), 1.0, 1, X2, Y2)
         assert out == 0.0
 
     def test_negative_threshold_matrix_rejected(self):
         X2, Y2 = self._toy()
         with pytest.raises(ValueError, match="negative"):
-            q_sparse(np.zeros(2), np.ones(2), 1.0, -np.eye(2), 1.0, 1, X2, Y2)
+            q_sparse(np.zeros(2), np.ones(2), 1.0, -np.ones(2), 1.0, 1, X2, Y2)
 
-    def test_scalar_and_vector_threshold_forms_agree(self):
+    def test_threshold_diagonal_must_have_length_p(self):
+        """The threshold matrix enters only through its length-p diagonal:
+        a scalar, a matrix or a vector of another length is rejected."""
         X2, Y2 = self._toy()
-        bar = np.array([5.0, 0.001])
-        full = q_sparse(np.zeros(2), bar, 1.0, 0.25 * np.eye(2), 1.0, 1, X2, Y2)
-        diag = q_sparse(np.zeros(2), bar, 1.0, np.array([0.25, 0.25]), 1.0, 1, X2, Y2)
-        scal = q_sparse(np.zeros(2), bar, 1.0, 0.25, 1.0, 1, X2, Y2)
-        assert full == diag == scal
+        for diag in (1.0, np.eye(2), np.ones(3)):
+            with pytest.raises(ValueError, match="diagonal has shape"):
+                q_sparse(np.zeros(2), np.ones(2), 1.0, diag, 1.0, 1, X2, Y2)
 
 
 class TestNormFromQ:
