@@ -51,16 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--regime", required=True, choices=["low", "high"])
     est.add_argument("--s", type=int, required=True)
     est.add_argument("--alpha", type=float, default=4.0)
-    est.add_argument("--c1", type=float, default=1.5)
-    est.add_argument("--prelim", default="srs", choices=["srs", "zero"],
-                     help="high regime only: 'zero' skips the preliminary fit")
+    est.add_argument("--c1", type=float, help="high regime only (default 1.5)")
+    est.add_argument("--prelim", choices=["srs", "zero"],
+                     help="high regime only: 'zero' skips the preliminary fit (default 'srs')")
     est.add_argument("--input", required=True, help="sample CSV")
 
     det = sub.add_parser("detect", help="test whether the signal is null")
     det.add_argument("--regime", required=True, choices=["low", "high"])
     det.add_argument("--s", type=int, required=True)
     det.add_argument("--alpha", type=float, default=4.0)
-    det.add_argument("--c1", type=float, default=1.5)
+    det.add_argument("--c1", type=float, help="high regime only (default 1.5)")
     det.add_argument("--beta", type=float, default=None, help="test constant; omit to calibrate")
     det.add_argument("--delta", type=float, default=0.1, help="target level for calibration")
     det.add_argument("--calib-trials", type=int, default=2000)
@@ -103,18 +103,30 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _high_regime_options(args) -> dict:
+    """The high-regime-only options given on the command line; the low regime,
+    which would ignore them, rejects them."""
+    given = {k: v for k in ("c1", "prelim") if (v := getattr(args, k, None)) is not None}
+    if given and args.regime == "low":
+        flags = ", ".join(f"--{k}" for k in given)
+        raise ValueError(f"{flags}: for --regime high only")
+    return given
+
+
 def _cmd_estimate(args) -> int:
+    options = _high_regime_options(args)
     sample = read_sample(args.input)
-    est = pipeline.estimate(sample, args.s, args.regime, args.alpha, args.c1, args.prelim)
+    est = pipeline.estimate(sample, args.s, args.regime, args.alpha, **options)
     print(json.dumps(est.to_dict()))
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
+    options = _high_regime_options(args)
     sample = read_sample(args.input)
     decision, lambda_hat, threshold, _ = pipeline.detect(
-        sample, args.s, args.regime, args.alpha, args.beta, args.c1,
-        args.delta, args.calib_trials, args.calib_seed,
+        sample, args.s, args.regime, args.alpha, args.beta,
+        delta=args.delta, calib_trials=args.calib_trials, calib_seed=args.calib_seed, **options,
     )
     print(json.dumps({"decision": decision, "lambda_hat": lambda_hat, "threshold": threshold}))
     return EXIT_OK

@@ -40,8 +40,6 @@ class OlsFit:
     theta_hat: np.ndarray
     gram_inverse: np.ndarray
     sigma_hat: float
-    n: int
-    p: int
 
 
 def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
@@ -66,7 +64,7 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     theta_hat = Vt.T @ ((U.T @ Y1) / svals)
     gram_inverse = (Vt.T / svals**2) @ Vt
     sigma_hat = float(np.linalg.norm(Y1 - X1 @ theta_hat) / np.sqrt(n - p))
-    return OlsFit(theta_hat=theta_hat, gram_inverse=gram_inverse, sigma_hat=sigma_hat, n=n, p=p)
+    return OlsFit(theta_hat=theta_hat, gram_inverse=gram_inverse, sigma_hat=sigma_hat)
 
 
 def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> FunctionalEstimate:

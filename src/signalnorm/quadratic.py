@@ -30,10 +30,9 @@ __all__ = [
 
 @dataclass
 class ComponentEstimates:
-    """Per-coordinate unbiased estimates of theta_j^2 and their inputs."""
+    """Per-coordinate unbiased estimates of theta_j^2."""
 
     a: np.ndarray
-    prelim: np.ndarray
 
 
 @dataclass
@@ -90,7 +89,7 @@ def component_estimates(
     col_sq = (weighted**2).sum(axis=0)
     pair_sum = (col_dot**2 - col_sq) / (n * (n - 1))
     a = prelim**2 + (2.0 / n) * prelim * col_dot + pair_sum
-    return ComponentEstimates(a=a, prelim=prelim)
+    return ComponentEstimates(a=a)
 
 
 def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -9,9 +9,12 @@ that pairs larger weights with larger magnitudes.  The weight sequence is
 ``lambda_j = c1 * sqrt(log(2p/j) / n)``; the solver applies it in the
 per-observation normalization of the loss, i.e. it minimizes the equivalent
 ``||Y - Xt||_2 + sqrt(n) * ||t||_w`` so that the objective at t = 0 equals
-``||Y||_2``.  Optimization is proximal gradient with backtracking; the prox
-of the sorted-L1 norm is computed by a stack-based pool-adjacent-violators
-pass over the sorted magnitudes.
+``||Y||_2``.  Optimization is proximal gradient with backtracking, each
+iteration reusing the residual its line search accepted.  The prox of the
+sorted-L1 norm is the isotonic fit of Bogdan et al. (AoAS 2015): a
+stack-based pool-adjacent-violators pass over the sorted magnitudes minus
+the weights, which stops after the last entry that is not clearly negative,
+since every later entry comes out as exactly zero.
 """
 
 from __future__ import annotations
@@ -100,7 +103,10 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     Sorts magnitudes descending, subtracts the weights, then restores the
     nonincreasing-nonnegative shape by averaging violating blocks with a
     stack-based pool-adjacent-violators pass; signs and positions of `v`
-    are restored at the end.
+    are restored at the end.  The pass stops after the last difference
+    that is not clearly negative: a block holding a later one averages
+    below zero and merges only with blocks lower still, so all of them
+    output zero and the result is bit-identical to a full pass.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -117,31 +123,30 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     order = np.argsort(-mags, kind="stable")
     diff = mags[order] - w
 
-    # Stack of blocks (start index, end index, running sum); merging whenever
-    # block averages violate the nonincreasing constraint.
-    start = np.empty(p, dtype=np.int64)
-    end = np.empty(p, dtype=np.int64)
-    total = np.empty(p)
-    avg = np.empty(p)
-    k = 0
-    for i in range(p):
-        start[k] = i
-        end[k] = i
-        total[k] = diff[i]
-        avg[k] = diff[i]
-        while k > 0 and avg[k - 1] <= avg[k]:
-            k -= 1
-            total[k] += total[k + 1]
-            end[k] = i
-            avg[k] = total[k] / (end[k] - start[k] + 1)
-        k += 1
+    # "Clearly negative" is <= -tiny rather than < 0, so that no average of
+    # the cut blocks could underflow to the -0.0 a full pass would output;
+    # a NaN stays in the pass.
+    head = np.flatnonzero(~(diff <= -np.finfo(float).tiny))
+    cut = head[-1] + 1 if head.size else 0
 
-    out_sorted = np.empty(p)
-    for b in range(k):
-        out_sorted[start[b] : end[b] + 1] = max(avg[b], 0.0)
+    # Stack of blocks (start index, running sum, average), merged whenever the
+    # averages violate the nonincreasing constraint; Python floats round
+    # exactly as float64 arrays do.
+    start, total, avg = [], [], []
+    for i, d in enumerate(diff[:cut].tolist()):
+        b, t, a = i, d, d
+        while avg and avg[-1] <= a:
+            avg.pop()
+            b = start.pop()
+            t = total.pop() + t
+            a = t / (i - b + 1)
+        start.append(b)
+        total.append(t)
+        avg.append(a)
 
-    out = np.empty(p)
-    out[order] = out_sorted
+    level = np.array(avg)  # clipped below as max(avg, 0.0) does: -0.0 and NaN kept
+    out = np.zeros(p)
+    out[order[:cut]] = np.repeat(np.where(level < 0, 0.0, level), np.diff(start + [cut]))
     return out * signs
 
 
@@ -179,9 +184,9 @@ def sqrt_slope_fit(
     step = n / max(float((X1**2).sum()), np.finfo(float).tiny)
     converged = False
     iterations = 0
+    r = Y1 - X1 @ x  # then always the residual of x, carried over from the line search
 
     for iterations in range(1, max_iter + 1):
-        r = Y1 - X1 @ x
         norm_r = float(np.linalg.norm(r))
         if norm_r <= _INTERPOLATION_GUARD * norm_y:
             converged = True
@@ -196,7 +201,8 @@ def sqrt_slope_fit(
         for _ in range(60):
             cand = prox_sorted_l1(x - step * grad, step * w_eff)
             dx = cand - x
-            g_cand = float(np.linalg.norm(Y1 - X1 @ cand))
+            r_cand = Y1 - X1 @ cand
+            g_cand = float(np.linalg.norm(r_cand))
             model = norm_r + float(grad @ dx) + float(dx @ dx) / (2.0 * step)
             if g_cand <= model + 1e-12 * max(1.0, norm_r):
                 accepted = cand
@@ -208,14 +214,14 @@ def sqrt_slope_fit(
 
         new_obj = g_accepted + float(w_eff @ np.sort(np.abs(accepted))[::-1])
         decrease = obj - new_obj
-        x = accepted
+        x, r = accepted, r_cand
         obj = min(obj, new_obj)
         trace.append(obj)
         if 0 <= decrease < tol * max(abs(obj), 1e-30):
             converged = True
             break
 
-    resid = float(np.linalg.norm(Y1 - X1 @ x))
+    resid = float(np.linalg.norm(r))
     return SlopeFit(
         theta_hat=x,
         objective=resid + float(w_eff @ np.sort(np.abs(x))[::-1]),

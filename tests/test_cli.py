@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,13 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code = main(["simulate", "--config", str(high), "--out-dir", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == EXIT_CONFIG
+    # options of the high regime given to the low one, which would ignore them
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("y,x1\n" + "\n".join(f"{i % 5},{i % 3}" for i in range(12)) + "\n")
+    for argv in (["estimate", "--c1", "2.0"], ["estimate", "--prelim", "zero"],
+                 ["detect", "--c1", "2.0", "--beta", "1.0"]):
+        code = main([*argv, "--regime", "low", "--s", "1", "--input", str(good_csv)])
+        assert code == EXIT_CONFIG and "regime high only" in capsys.readouterr().err, argv
     # a NaN in the sample, in either regime
     nan_csv = tmp_path / "nan.csv"
     rows = [f"{i},{i % 3},1.5" for i in range(12)] + ["nan,1,2"]
@@ -171,3 +182,19 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     code = main(["estimate", "--regime", "low", "--s", "1", "--input", str(path)])
     capsys.readouterr()
     assert code == EXIT_NUMERIC
+
+
+def test_import_does_not_load_scipy_optimize(tmp_path):
+    """Every CLI process pays for what `import signalnorm.cli` loads: scipy.optimize
+    alone measured about 0.2 s and 24 MB there, so the package must not import it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, signalnorm.cli; print(*sys.modules)"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "signalnorm.slope" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]

@@ -1,16 +1,94 @@
 """Tests for the sorted-L1 machinery: weights, norm, prox, solver, noise estimate."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalnorm import (
+    Dimensions,
+    ModelSpec,
+    estimate_highdim,
     prox_sorted_l1,
     sample_sparse_theta,
     sigma_srs,
     slope_weights,
     sorted_l1_norm,
     sqrt_slope_fit,
+    synthesize,
 )
+
+# Seeded solver and pipeline outputs as float.hex strings, recorded with the
+# numpy-scalar prox that `prox_reference` keeps; any change to the iterates
+# shows as a changed bit here.
+GOLDENS = json.loads((Path(__file__).parent / "goldens" / "slope.json").read_text())
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def prox_reference(v, w):
+    """The sorted-L1 prox as first written: the stack-based pool-adjacent-violators
+    loop over numpy scalars, kept as the bit-exact reference for the fast one."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    p = v.shape[0]
+    signs = np.sign(v)
+    mags = np.abs(v)
+    order = np.argsort(-mags, kind="stable")
+    diff = mags[order] - w
+
+    start = np.empty(p, dtype=np.int64)
+    end = np.empty(p, dtype=np.int64)
+    total = np.empty(p)
+    avg = np.empty(p)
+    k = 0
+    for i in range(p):
+        start[k] = i
+        end[k] = i
+        total[k] = diff[i]
+        avg[k] = diff[i]
+        while k > 0 and avg[k - 1] <= avg[k]:
+            k -= 1
+            total[k] += total[k + 1]
+            end[k] = i
+            avg[k] = total[k] / (end[k] - start[k] + 1)
+        k += 1
+
+    out_sorted = np.empty(p)
+    for b in range(k):
+        out_sorted[start[b] : end[b] + 1] = max(avg[b], 0.0)
+
+    out = np.empty(p)
+    out[order] = out_sorted
+    return out * signs
+
+
+def assert_prox_kkt(x, v, w):
+    """x = prox(v) iff g = v - x lies in the dual ball of the sorted-L1 norm (partial
+    sums of the sorted |g| never exceed those of w) and attains the norm: g @ x = J_w(x)."""
+    g = v - x
+    tol = 1e-10 * (1.0 + np.max(np.abs(v)) + w[0]) ** 2 * len(v)
+    assert np.all(np.cumsum(np.sort(np.abs(g))[::-1]) <= np.cumsum(w) + tol)
+    assert abs(g @ x - sorted_l1_norm(x, w)) <= tol
+
+
+@st.composite
+def prox_inputs(draw, values):
+    """(v, w) of a common length 1..12 with w nonnegative and nonincreasing; v draws
+    from a short list of repeated values half the time, so ties are frequent."""
+    p = draw(st.integers(1, 12))
+    tied = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    v = draw(st.lists(st.one_of(values, tied), min_size=p, max_size=p))
+    w = draw(st.lists(st.one_of(values.map(abs), tied.map(abs)), min_size=p, max_size=p))
+    return np.array(v), np.sort(w)[::-1]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and 1e308 included
+BOUNDED = st.floats(-100.0, 100.0)
 
 
 def prox_objective(x, v, w):
@@ -129,6 +207,50 @@ class TestProxSortedL1:
             assert np.linalg.norm(x - g) <= 1e-3
             assert prox_objective(x, v, w) <= prox_objective(g, v, w) + 1e-9
 
+    @PROPERTY
+    @given(prox_inputs(FINITE))
+    def test_bit_identical_to_reference(self, vw):
+        v, w = vw
+        assert prox_sorted_l1(v, w).tobytes() == prox_reference(v, w).tobytes()
+
+    @PROPERTY
+    @given(prox_inputs(BOUNDED))
+    def test_kkt_optimality(self, vw):
+        v, w = vw
+        x = prox_sorted_l1(v, w)
+        assert x.tobytes() == prox_reference(v, w).tobytes()
+        assert_prox_kkt(x, v, w)
+
+    @PROPERTY
+    @given(prox_inputs(BOUNDED))
+    def test_weights_above_every_magnitude_give_zero(self, vw):
+        v, w = vw
+        w = w + np.max(np.abs(v))  # every sorted magnitude minus its weight is <= 0
+        x = prox_sorted_l1(v, w)
+        assert x.tobytes() == prox_reference(v, w).tobytes()
+        assert np.all(x == 0)
+
+    @PROPERTY
+    @given(prox_inputs(BOUNDED))
+    def test_zero_weights_are_bit_identity(self, vw):
+        v, _ = vw
+        x = prox_sorted_l1(v, np.zeros(len(v)))
+        assert x.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize(
+        "v, w",
+        [
+            ([0.0, 0.0], [5e-324, 0.0]),  # a block average underflows to -0.0
+            ([-3.0], [1.0]),
+            ([1e-310, -1e-310, 2e-310], [3e-310, 1e-310, 0.0]),
+            ([1e308, 1e308, -1e308], [0.0, 0.0, 0.0]),  # block totals overflow
+        ],
+    )
+    def test_edge_cases_bit_identical_to_reference(self, v, w):
+        v, w = np.array(v), np.array(w)
+        with np.errstate(over="ignore"):  # numpy scalars warn where Python floats do not
+            assert prox_sorted_l1(v, w).tobytes() == prox_reference(v, w).tobytes()
+
     def test_local_optimality_under_perturbation(self):
         """No perturbation of norm <= 0.1 improves the prox objective."""
         rng = np.random.default_rng(3)
@@ -246,3 +368,53 @@ class TestSigmaSrs:
         X = rng.standard_normal((5, 3))
         Y = rng.standard_normal(5)
         assert sigma_srs(X, Y, np.zeros(3)) == pytest.approx(np.linalg.norm(Y) / np.sqrt(5))
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _golden_fit(case):
+    """The sqrt_slope_fit outputs of one seeded golden case, as float.hex."""
+    if case == "interpolation":
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((12, 2))
+        fit = sqrt_slope_fit(X, X @ np.array([1.0, -2.0]), c1=1e-8)
+    else:
+        n, p, s, seed = (100, 300, 5, 21) if case == "wide" else (40, 80, 3, 20)
+        rng = np.random.default_rng(seed)
+        theta = sample_sparse_theta(p, s, 1.0, rng=rng)
+        X = rng.standard_normal((n, p))
+        Y = X @ theta + 0.5 * rng.standard_normal(n)
+        fit = sqrt_slope_fit(X, Y, max_iter=5 if case == "max_iter" else 10000)
+    return {
+        "theta_hat": _hex(fit.theta_hat),
+        "sigma_hat": float(fit.sigma_hat).hex(),
+        "objective": float(fit.objective).hex(),
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+        "trace": _hex(fit.trace),
+    }
+
+
+def _golden_estimate(s):
+    """estimate_highdim on a seeded N=300, p=400 sample, as float.hex."""
+    theta = sample_sparse_theta(400, 5, 6.0, rng=np.random.default_rng(30))
+    sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=300, p=400, s=s), 31)
+    est = estimate_highdim(sample, s=s)
+    out = {k: v.hex() if isinstance(v, float) else v for k, v in est.to_dict().items()}
+    out["split_tags"] = est.split_tags
+    return out
+
+
+class TestGoldenOutputs:
+    """Bit-exact seeded outputs: the solver's iterates, its three exits (converged,
+    max_iter, interpolation) and the high-dimensional pipeline on both branches."""
+
+    @pytest.mark.parametrize("case", ["converged", "wide", "max_iter", "interpolation"])
+    def test_sqrt_slope_fit(self, case):
+        assert _golden_fit(case) == GOLDENS["sqrt_slope_fit"][case]
+
+    @pytest.mark.parametrize("s", [5, 30])
+    def test_estimate_highdim(self, s):
+        assert _golden_estimate(s) == GOLDENS["estimate_highdim"][str(s)]
