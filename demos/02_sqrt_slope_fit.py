@@ -17,7 +17,7 @@ X = rng.standard_normal((n, p))
 Y = X @ theta + sigma * rng.standard_normal(n)
 
 weights = sn.slope_weights(p, n)
-print(f"weight sequence: lam_1 = {weights.lam[0]:.4f} ... lam_p = {weights.lam[-1]:.4f}")
+print(f"weight sequence: lam_1 = {weights[0]:.4f} ... lam_p = {weights[-1]:.4f}")
 print(f"sorted-L1 norm of theta: {sn.sorted_l1_norm(theta, weights):.4f}")
 
 fit = sn.sqrt_slope_fit(X, Y)

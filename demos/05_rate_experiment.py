@@ -3,14 +3,12 @@
 The grid grows the dimension with the per-split size (p = n/2) at zero
 signal, so the mean squared-norm estimate should decay like the theoretical
 null risk; the harness records every trial, aggregates per grid point, and
-fits the log-log slope.
+fits the log-log slope against n.
 """
 
 import json
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 import signalnorm as sn
 
@@ -30,19 +28,17 @@ records = sn.run_trials(config)
 errors = sum(r.error is not None for r in records)
 print(f"ran {len(records)} trials ({errors} errored)")
 
-by_n = {}
-for rec in records:
-    if rec.error is None:
-        by_n.setdefault(rec.n, []).append(rec.lambda_hat**2)
-points = [(n, float(np.mean(v))) for n, v in sorted(by_n.items())]
-fit = sn.fit_rate(points)
-print("mean squared-norm estimate per n:", [(n, round(y, 4)) for n, y in points])
-print(f"log-log slope: {fit.slope:.3f}  (null risk here scales like sqrt(p)/n ~ n^-0.5)")
-
 out_dir = Path(tempfile.mkdtemp(prefix="signalnorm_rates_"))
-paths = sn.report(records, fits={"null_energy_vs_n": fit}, out_dir=out_dir)
-print(f"\nwrote {paths['records']} and {paths['summary']}")
+paths = sn.report(records, out_dir=out_dir)
+print(f"wrote {paths['records']} and {paths['summary']}")
 summary = json.loads(Path(paths["summary"]).read_text())
+
+# At zero signal the norm error is the estimate itself, so the mean squared
+# norm error the report fits against n is the mean squared-norm estimate.
+print("\nmean squared-norm estimate per n:",
+      [(pt["n"], round(pt["mse_lambda"], 4)) for pt in summary["points"]])
+fit = summary["rate_fits"]["mse_lambda"]
+print(f"log-log slope: {fit['slope']:.3f}  (null risk here scales like sqrt(p)/n ~ n^-0.5)")
 first = summary["points"][0]
 print(f"first grid point aggregates: n={first['n']} p={first['p']} "
       f"mse_q={first['mse_q']:.5f} trials={first['trials']}")

@@ -46,7 +46,6 @@ from .model import (
     Dimensions,
     ModelSpec,
     RegressionSample,
-    SampleSplit,
     read_sample,
     sample_design,
     sample_sparse_theta,
@@ -56,7 +55,6 @@ from .model import (
 )
 from .pipeline import detect, detection_threshold, estimate
 from .quadratic import (
-    ComponentEstimates,
     FunctionalEstimate,
     component_estimates,
     debias,
@@ -67,9 +65,7 @@ from .quadratic import (
 )
 from .slope import (
     SlopeFit,
-    SlopeWeights,
     prox_sorted_l1,
-    sigma_srs,
     slope_weights,
     sorted_l1_norm,
     sqrt_slope_fit,
@@ -78,14 +74,14 @@ from .slope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dimensions", "ModelSpec", "RegressionSample", "SampleSplit",
+    "Dimensions", "ModelSpec", "RegressionSample",
     "sample_design", "synthesize", "sample_sparse_theta", "split_sample",
     "write_sample", "read_sample",
-    "ComponentEstimates", "FunctionalEstimate", "component_estimates",
+    "FunctionalEstimate", "component_estimates",
     "debias", "q_dense", "q_sparse", "norm_from_q", "sparse_threshold",
     "OlsFit", "SingularDesignError", "ols_fit", "estimate_lowdim",
-    "SlopeWeights", "SlopeFit", "slope_weights", "sorted_l1_norm",
-    "prox_sorted_l1", "sqrt_slope_fit", "sigma_srs", "estimate_highdim",
+    "SlopeFit", "slope_weights", "sorted_l1_norm",
+    "prox_sorted_l1", "sqrt_slope_fit", "estimate_highdim",
     "estimate", "detect", "detection_threshold",
     "PriorSpec", "RadiusBundle", "tau_from_rho", "sample_prior_theta",
     "chi2_cross", "hypergeometric_mgf_bound", "bayes_testing_risk_bound",

@@ -142,42 +142,14 @@ def _cmd_slope_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     config = harness.ExperimentConfig.from_json(args.config)
     records = harness.run_trials(config)
-    fits = {}
-    ok = [r for r in records if r.error is None]
-    for metric in ("mse_lambda", "mse_q"):
-        pts = _metric_points(ok, metric)
-        if len(pts) >= 2 and all(y > 0 for _, y in pts):
-            fits[metric] = harness.fit_rate(pts)
-    paths = harness.report(records, fits or None, out_dir=args.out_dir, delta=config.delta)
+    paths = harness.report(records, out_dir=args.out_dir, delta=config.delta)
     print(json.dumps({k: str(v) for k, v in paths.items()}))
     return EXIT_OK
 
 
-def _metric_points(records, metric: str):
-    by_n: dict = {}
-    for rec in records:
-        if rec.err_q is None:
-            continue
-        by_n.setdefault(rec.n, []).append(rec)
-    pts = []
-    for n in sorted(by_n):
-        group = by_n[n]
-        if metric == "mse_lambda":
-            y = float(np.mean([r.err_lambda**2 for r in group]))
-        elif metric == "mse_q":
-            y = float(np.mean([r.err_q**2 for r in group]))
-        elif metric == "mean_abs_err_q":
-            y = float(np.mean([abs(r.err_q) for r in group]))
-        else:
-            y = float(np.mean([abs(r.err_lambda) for r in group]))
-        pts.append((n, y))
-    return pts
-
-
 def _cmd_rates(args) -> int:
     records = harness.read_records(args.source)
-    pts = _metric_points([r for r in records if r.error is None], args.metric)
-    fit = harness.fit_rate(pts)
+    fit = harness.fit_rate(harness.metric_points(records, args.metric))
     print(json.dumps({
         "metric": args.metric,
         "slope": fit.slope,

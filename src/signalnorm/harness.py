@@ -33,6 +33,7 @@ __all__ = [
     "fit_rate",
     "theoretical_rate",
     "summarize",
+    "metric_points",
     "report",
     "read_records",
     "CSV_COLUMNS",
@@ -162,6 +163,10 @@ class ExperimentConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.calib_trials < 1:
             raise ValueError("calib_trials must be >= 1")
+        # Noise levels and entry laws by the model's own rules, at load time
+        # rather than as an error tag on every trial.
+        for sigma in self.sigma:
+            ModelSpec(theta=np.zeros(1), sigma=float(sigma), design=self.design, noise=self.noise)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -346,7 +351,7 @@ def _clean(values) -> np.ndarray:
     return np.asarray([v for v in values if v is not None], dtype=float)
 
 
-def summarize(records: list[TrialRecord], delta: float = 0.1, kappa: float | None = None) -> dict:
+def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
     """Per-grid-point aggregates: mean/median errors, upper-delta quantiles of
     absolute errors, rejection rates, and empirical/theoretical risk ratios.
 
@@ -389,7 +394,7 @@ def summarize(records: list[TrialRecord], delta: float = 0.1, kappa: float | Non
                     "abs_err_lambda_upper_quantile": float(np.quantile(np.abs(err_l), 1 - delta)),
                 }
             )
-            k = kappa if kappa is not None else max(rec0.true_lambda, 0.0)
+            k = rec0.true_lambda
             n_eff = 2 * rec0.n  # reference scaling uses the 2-split budget
             phi = theoretical_rate(rec0.p, n_eff, rec0.s, rec0.sigma, k, "phi")
             entry["theoretical_phi"] = phi
@@ -406,6 +411,36 @@ def summarize(records: list[TrialRecord], delta: float = 0.1, kappa: float | Non
     return {"delta": delta, "points": points}
 
 
+_METRIC_TERMS = {
+    "mse_lambda": lambda r: r.err_lambda**2,
+    "mse_q": lambda r: r.err_q**2,
+    "mean_abs_err_q": lambda r: abs(r.err_q),
+    "mean_abs_err_lambda": lambda r: abs(r.err_lambda),
+}
+
+
+def metric_points(records: list[TrialRecord], metric: str) -> list[tuple[int, float]]:
+    """``(n, y)`` per per-split size n, ascending, where y is `metric` over
+    every trial at that n: "mse_lambda", "mse_q", "mean_abs_err_q" or
+    "mean_abs_err_lambda".  Trials with an error tag are skipped.
+
+    Grouping is by n alone, not by grid point as in :func:`summarize`, so
+    every sigma and magnitude at one n pools into one point.
+    """
+    try:
+        term = _METRIC_TERMS[metric]
+    except KeyError:
+        raise ValueError(f"unknown metric {metric!r}") from None
+    by_n: dict = {}
+    for rec in records:
+        if rec.error is None:
+            by_n.setdefault(rec.n, []).append(rec)
+    pts = []
+    for n in sorted(by_n):
+        pts.append((n, float(np.mean([term(r) for r in by_n[n]]))))
+    return pts
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -414,16 +449,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def report(
-    records: list[TrialRecord],
-    fits: dict | None = None,
-    out_dir: str | Path = ".",
-    delta: float = 0.1,
-) -> dict:
+def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float = 0.1) -> dict:
     """Write ``records.csv`` (fixed column order) and ``summary.json``.
 
-    Returns the paths written.  `fits` maps a label to a :class:`RateFit`
-    included in the summary.
+    Returns the paths written.  The summary's ``rate_fits`` holds the
+    log-log fits of :func:`metric_points` against n for "mse_lambda" and
+    "mse_q", each present when at least two sizes have a positive value.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -434,6 +465,11 @@ def report(
             row = [_format_cell(getattr(rec, col)) for col in CSV_COLUMNS]
             fh.write(",".join(row) + "\n")
     summary = summarize(records, delta=delta)
+    fits = {}
+    for metric in ("mse_lambda", "mse_q"):
+        pts = metric_points(records, metric)
+        if len(pts) >= 2 and all(y > 0 for _, y in pts):
+            fits[metric] = fit_rate(pts)
     if fits:
         summary["rate_fits"] = {
             name: {

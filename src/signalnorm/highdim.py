@@ -26,8 +26,6 @@ def estimate_highdim(
     alpha: float = 4.0,
     c1: float = 1.5,
     prelim: str = "srs",
-    max_iter: int = 10000,
-    tol: float = 1e-8,
 ) -> FunctionalEstimate:
     """Estimate the squared norm and the norm in the p >~ n regime.
 
@@ -50,14 +48,14 @@ def estimate_highdim(
         raise ValueError(f"unknown preliminary {prelim!r}; expected 'srs' or 'zero'")
 
     parts = split_parts("high", s, p)
-    split = split_sample(sample, parts)
-    (X1, Y1), (X2, Y2) = split.subsamples[0], split.subsamples[1]
-    n = split.n
-    fit = sqrt_slope_fit(X1, Y1, c1=c1, max_iter=max_iter, tol=tol)
+    blocks = split_sample(sample, parts)
+    (X1, Y1), (X2, Y2) = blocks[0], blocks[1]
+    n = X1.shape[0]
+    fit = sqrt_slope_fit(X1, Y1, c1=c1)
     screening = None
     tags = {"prelim": 0, "quadratic": 1}
     if parts == 3:
-        X3, Y3 = split.subsamples[2]
+        X3, Y3 = blocks[2]
         # Selection threshold alpha * sqrt(2) sigma_hat * sqrt(log(1 + p/s^2) / n):
         # the screening vector is Gaussian-like with variance ~ 2 sigma^2 / n
         # around theta, hence the inflated scale and the diagonal 1/n.

@@ -76,12 +76,11 @@ def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> Fun
     """
     if not 1 <= s <= sample.p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={sample.p}")
-    split = split_sample(sample, 2)
-    (X1, Y1), (X2, Y2) = split.subsamples
+    (X1, Y1), (X2, Y2) = split_sample(sample, 2)
     fit = ols_fit(X1, Y1)
     screening = (fit.theta_hat, fit.sigma_hat, np.diag(fit.gram_inverse))
     return quadratic_stage(
         fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
-        regime="low", n_per_split=split.n, parts=2,
+        regime="low", n_per_split=X1.shape[0], parts=2,
         split_tags={"prelim": 0, "quadratic": 1},
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "Dimensions",
     "ModelSpec",
     "RegressionSample",
-    "SampleSplit",
     "sample_design",
     "sample_noise",
     "synthesize",
@@ -79,12 +78,11 @@ NOISE_LAWS = {
 
 @dataclass(frozen=True)
 class Dimensions:
-    """Problem sizes: N rows, p coordinates, sparsity budget s, per-split n."""
+    """Problem sizes: N rows, p coordinates, sparsity budget s."""
 
     N: int
     p: int
     s: int
-    n: int | None = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -93,8 +91,6 @@ class Dimensions:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not 1 <= self.s <= self.p:
             raise ValueError(f"s must satisfy 1 <= s <= p, got s={self.s}, p={self.p}")
-        if self.n is not None and not 1 <= self.n <= self.N:
-            raise ValueError(f"per-split n must satisfy 1 <= n <= N, got n={self.n}")
 
 
 @dataclass
@@ -147,19 +143,6 @@ class RegressionSample:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass
-class SampleSplit:
-    """Disjoint contiguous row blocks of equal size n; trailing rows dropped."""
-
-    parts: int
-    subsamples: list = field(default_factory=list)
-    dropped_rows: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.subsamples[0][1].shape[0]
 
 
 def sample_design(dims: Dimensions, design: str, rng: np.random.Generator) -> np.ndarray:
@@ -239,10 +222,10 @@ def sample_sparse_theta(
     return theta
 
 
-def split_sample(sample: RegressionSample, parts: int) -> SampleSplit:
-    """Partition the first parts*n rows into `parts` contiguous blocks of n rows.
+def split_sample(sample: RegressionSample, parts: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Partition the first parts*n rows into `parts` contiguous (X, Y) blocks of n rows.
 
-    n = floor(N / parts); any trailing remainder rows are dropped and counted.
+    n = floor(N / parts); the N - parts*n trailing remainder rows are dropped.
     """
     if parts not in (2, 3):
         raise ValueError(f"parts must be 2 or 3, got {parts}")
@@ -250,11 +233,10 @@ def split_sample(sample: RegressionSample, parts: int) -> SampleSplit:
     if N < parts:
         raise ValueError(f"cannot split N={N} rows into {parts} parts")
     n = N // parts
-    subsamples = [
+    return [
         (sample.X[i * n : (i + 1) * n], sample.Y[i * n : (i + 1) * n])
         for i in range(parts)
     ]
-    return SampleSplit(parts=parts, subsamples=subsamples, dropped_rows=N - parts * n)
 
 
 def write_sample(sample: RegressionSample, path: str | Path) -> Path:

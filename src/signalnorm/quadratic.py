@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 __all__ = [
-    "ComponentEstimates",
     "FunctionalEstimate",
     "component_estimates",
     "debias",
@@ -26,13 +25,6 @@ __all__ = [
     "split_parts",
     "quadratic_stage",
 ]
-
-
-@dataclass
-class ComponentEstimates:
-    """Per-coordinate unbiased estimates of theta_j^2."""
-
-    a: np.ndarray
 
 
 @dataclass
@@ -63,8 +55,8 @@ def component_estimates(
     prelim: np.ndarray,
     X2: np.ndarray,
     Y2: np.ndarray,
-) -> ComponentEstimates:
-    """Centered per-coordinate estimates of theta_j^2 from a fresh block.
+) -> np.ndarray:
+    """Centered per-coordinate estimates a_j of theta_j^2 from a fresh block.
 
     With residual r = Y2 - X2 @ prelim and columns X2[:, j],
 
@@ -88,8 +80,7 @@ def component_estimates(
     col_dot = weighted.sum(axis=0)  # sum_k X2[k, j] r_k, per column
     col_sq = (weighted**2).sum(axis=0)
     pair_sum = (col_dot**2 - col_sq) / (n * (n - 1))
-    a = prelim**2 + (2.0 / n) * prelim * col_dot + pair_sum
-    return ComponentEstimates(a=a)
+    return prelim**2 + (2.0 / n) * prelim * col_dot + pair_sum
 
 
 def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -108,7 +99,7 @@ def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def q_dense(prelim: np.ndarray, X2: np.ndarray, Y2: np.ndarray) -> float:
     """Dense estimate of the squared norm: the sum of all coordinate estimates."""
-    return float(component_estimates(prelim, X2, Y2).a.sum())
+    return float(component_estimates(prelim, X2, Y2).sum())
 
 
 def sparse_branch(s: int, p: int) -> bool:
@@ -125,6 +116,12 @@ def split_parts(regime: str, s: int, p: int) -> int:
 def sparse_threshold(sigma_hat: float, diag, alpha: float, p: int, s: int) -> np.ndarray:
     """Per-coordinate selection threshold alpha * sigma_hat * sqrt(M_jj * log(1 + p/s^2)),
     given the length-p diagonal M_jj of the threshold matrix."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if sigma_hat <= 0:
+        raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
     diag = np.asarray(diag, dtype=float)
     if diag.shape != (p,):
         raise ValueError(f"threshold diagonal has shape {diag.shape}, expected ({p},)")
@@ -136,34 +133,24 @@ def sparse_threshold(sigma_hat: float, diag, alpha: float, p: int, s: int) -> np
 def q_sparse(
     prelim: np.ndarray,
     bar_theta: np.ndarray,
-    sigma_hat: float,
-    diag,
-    alpha: float,
-    s: int,
+    tau: np.ndarray,
     X2: np.ndarray,
     Y2: np.ndarray,
 ) -> float:
     """Sparse estimate of the squared norm: coordinate estimates kept only where
-    the screening estimate `bar_theta` strictly clears the selection threshold.
+    the screening estimate `bar_theta` strictly clears the selection threshold
+    `tau` (:func:`sparse_threshold`).
 
-        sum_j a_j(prelim) * 1{ |bar_theta_j| > alpha sigma_hat sqrt(M_jj log(1 + p/s^2)) }
+        sum_j a_j(prelim) * 1{ |bar_theta_j| > tau_j }
 
     Ties at the threshold exclude the coordinate.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if sigma_hat <= 0:
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
     bar_theta = np.asarray(bar_theta, dtype=float)
-    comps = component_estimates(prelim, X2, Y2)
-    p = comps.a.shape[0]
-    if bar_theta.shape[0] != p:
+    a = component_estimates(prelim, X2, Y2)
+    if bar_theta.shape[0] != a.shape[0]:
         raise ValueError("bar_theta length does not match p")
-    tau = sparse_threshold(sigma_hat, diag, alpha, p, s)
     keep = np.abs(bar_theta) > tau
-    return float(comps.a[keep].sum())
+    return float(a[keep].sum())
 
 
 def norm_from_q(q_hat: float) -> float:
@@ -196,8 +183,9 @@ def quadratic_stage(
     p = X2.shape[1]
     if screening is not None and sparse_branch(s, p):
         bar_theta, scale, diag = screening
-        threshold = float(np.max(sparse_threshold(scale, diag, alpha, p, s)))
-        q_hat = q_sparse(prelim, bar_theta, scale, diag, alpha, s, X2, Y2)
+        tau = sparse_threshold(scale, diag, alpha, p, s)
+        threshold = float(np.max(tau))
+        q_hat = q_sparse(prelim, bar_theta, tau, X2, Y2)
         branch = "sparse"
     else:
         threshold = None

@@ -24,31 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SlopeWeights",
     "SlopeFit",
     "slope_weights",
     "sorted_l1_norm",
     "prox_sorted_l1",
     "sqrt_slope_fit",
-    "sigma_srs",
 ]
 
 # Residual norms below this fraction of ||Y||_2 count as exact interpolation;
 # the square-root loss is nondifferentiable there, so iteration stops.
 _INTERPOLATION_GUARD = 1e-10
-
-
-@dataclass
-class SlopeWeights:
-    """Nonincreasing penalty sequence lambda_j = c1 * sqrt(log(2p/j) / n)."""
-
-    lam: np.ndarray
-    c1: float
-    n: int
-
-    @property
-    def p(self) -> int:
-        return self.lam.shape[0]
 
 
 @dataclass
@@ -72,22 +57,21 @@ class SlopeFit:
         }
 
 
-def slope_weights(p: int, n: int, c1: float = 1.5) -> SlopeWeights:
-    """Weight sequence lambda_j = c1 * sqrt(log(2p/j) / n), j = 1..p (natural log)."""
+def slope_weights(p: int, n: int, c1: float = 1.5) -> np.ndarray:
+    """Nonincreasing weight sequence lambda_j = c1 * sqrt(log(2p/j) / n), j = 1..p
+    (natural log)."""
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
     if c1 <= 0:
         raise ValueError(f"c1 must be positive, got {c1}")
     j = np.arange(1, p + 1, dtype=float)
-    return SlopeWeights(lam=c1 * np.sqrt(np.log(2.0 * p / j) / n), c1=c1, n=n)
+    return c1 * np.sqrt(np.log(2.0 * p / j) / n)
 
 
-def sorted_l1_norm(t: np.ndarray, w) -> float:
-    """Sorted-L1 norm: the largest magnitude pairs with the largest weight.
-
-    `w` is a :class:`SlopeWeights` or a bare nonincreasing weight vector.
-    """
-    lam = np.asarray(getattr(w, "lam", w), dtype=float)
+def sorted_l1_norm(t: np.ndarray, w: np.ndarray) -> float:
+    """Sorted-L1 norm under the nonincreasing weights `w`: the largest
+    magnitude pairs with the largest weight."""
+    lam = np.asarray(w, dtype=float)
     t = np.asarray(t, dtype=float)
     if t.shape[0] != lam.shape[0]:
         raise ValueError(f"length mismatch: t has {t.shape[0]}, weights have {lam.shape[0]}")
@@ -156,7 +140,6 @@ def sqrt_slope_fit(
     c1: float = 1.5,
     max_iter: int = 10000,
     tol: float = 1e-8,
-    weights: SlopeWeights | None = None,
 ) -> SlopeFit:
     """Fit the square-root sorted-L1 penalized regression on (X1, Y1).
 
@@ -171,11 +154,9 @@ def sqrt_slope_fit(
     n, p = X1.shape
     if Y1.shape[0] != n:
         raise ValueError("row mismatch between X1 and Y1")
-    if weights is None:
-        weights = slope_weights(p, n, c1)
     # Loss normalized per observation; equivalently the unscaled loss is
     # paired with sqrt(n)-rescaled weights, keeping objective(0) = ||Y||_2.
-    w_eff = np.sqrt(n) * weights.lam
+    w_eff = np.sqrt(n) * slope_weights(p, n, c1)
 
     norm_y = float(np.linalg.norm(Y1))
     x = np.zeros(p)
@@ -212,7 +193,7 @@ def sqrt_slope_fit(
         if accepted is None:
             break  # step underflow: stall, report non-convergence
 
-        new_obj = g_accepted + float(w_eff @ np.sort(np.abs(accepted))[::-1])
+        new_obj = g_accepted + sorted_l1_norm(accepted, w_eff)
         decrease = obj - new_obj
         x, r = accepted, r_cand
         obj = min(obj, new_obj)
@@ -224,17 +205,9 @@ def sqrt_slope_fit(
     resid = float(np.linalg.norm(r))
     return SlopeFit(
         theta_hat=x,
-        objective=resid + float(w_eff @ np.sort(np.abs(x))[::-1]),
+        objective=resid + sorted_l1_norm(x, w_eff),
         iterations=iterations,
         converged=converged,
         sigma_hat=resid / np.sqrt(n),
         trace=np.asarray(trace),
     )
-
-
-def sigma_srs(X1: np.ndarray, Y1: np.ndarray, theta_hat: np.ndarray) -> float:
-    """Pivotal noise-level estimate ||Y1 - X1 theta_hat||_2 / sqrt(n)."""
-    X1 = np.asarray(X1, dtype=float)
-    Y1 = np.asarray(Y1, dtype=float)
-    n = X1.shape[0]
-    return float(np.linalg.norm(Y1 - X1 @ np.asarray(theta_hat, dtype=float)) / np.sqrt(n))

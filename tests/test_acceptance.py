@@ -65,7 +65,7 @@ def test_02_componentwise_estimates_match_brute_force():
         X = rng.standard_normal((5, 4))
         Y = rng.standard_normal(5)
         prelim = rng.standard_normal(4)
-        fast = sn.component_estimates(prelim, X, Y).a
+        fast = sn.component_estimates(prelim, X, Y)
         slow = _naive_components(prelim, X, Y)
         worst = max(worst, float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300))))
     ok = worst <= 1e-10
@@ -110,7 +110,7 @@ def test_03_prox_matches_grid_search():
 def test_04_solver_dominates_random_candidates():
     rng = np.random.default_rng(44)
     n, p = 40, 10
-    w_eff = np.sqrt(n) * sn.slope_weights(p, n).lam
+    w_eff = np.sqrt(n) * sn.slope_weights(p, n)
     margin = np.inf
     for _ in range(20):
         theta = sn.sample_sparse_theta(p, 3, 1.0, rng=rng)

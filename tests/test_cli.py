@@ -142,8 +142,11 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
     assert code == EXIT_CONFIG
-    # tuning that the config rejects when it loads
-    for key, value in (("alpha", -1.0), ("beta", 0.0), ("delta", 1.5), ("calib_trials", 0)):
+    # tuning and data laws that the config rejects when it loads, rather than
+    # tagging every trial with the same error
+    for key, value in (("alpha", -1.0), ("beta", 0.0), ("delta", 1.5), ("calib_trials", 0),
+                       ("sigma", [-1.0]), ("sigma", ["a"]), ("design", "bogus"),
+                       ("noise", "bogus")):
         bad3 = tmp_path / f"bad-{key}.json"
         bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
         code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from signalnorm import ExperimentConfig, fit_rate, report, run_trials, summarize, theoretical_rate
-from signalnorm.harness import _trial_seed, eval_rule, read_records, run_single_trial
+from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
 
 
 def tiny_config(**overrides):
@@ -191,14 +191,22 @@ class TestReport:
     def test_rate_fits_embedded(self, tmp_path):
         # dense branch (s = p) keeps the null estimates almost surely nonzero
         records = run_trials(tiny_config(s_rule="p"))
-        pts = {}
-        for rec in records:
-            pts.setdefault(rec.n, []).append(rec.lambda_hat**2)
-        fit = fit_rate([(n, np.mean(v)) for n, v in pts.items()])
-        paths = report(records, fits={"null_energy": fit}, out_dir=tmp_path)
+        fit = fit_rate(metric_points(records, "mse_lambda"))
+        paths = report(records, out_dir=tmp_path)
         with open(paths["summary"]) as fh:
             summary = json.load(fh)
-        assert summary["rate_fits"]["null_energy"]["slope"] == pytest.approx(fit.slope)
+        assert summary["rate_fits"]["mse_lambda"]["slope"] == pytest.approx(fit.slope)
+
+    def test_metric_points_pool_each_n_and_skip_errors(self):
+        """One point per n over every sigma and magnitude, error-tagged trials left out."""
+        records = run_trials(tiny_config(sigma=[0.5, 1.0], magnitude=[0.0, 1.0]))
+        records[0].error = "ValueError: injected"
+        pts = metric_points(records, "mse_q")
+        assert [n for n, _ in pts] == [16, 24, 32]
+        kept = [r.err_q**2 for r in records[1:] if r.n == 16]
+        assert len(kept) == 7 and pts[0][1] == float(np.mean(kept))
+        with pytest.raises(ValueError, match="unknown metric"):
+            metric_points(records, "mse_theta")
 
 
 def test_summary_ratio_positive_on_seeded_run():

@@ -14,6 +14,7 @@ from signalnorm import (
     q_dense,
     q_sparse,
     sample_sparse_theta,
+    sparse_threshold,
     split_sample,
     sqrt_slope_fit,
     synthesize,
@@ -73,12 +74,12 @@ class TestEstimateHighdim:
         alpha, c1 = 1.5, 1.5
         est = estimate_highdim(sample, s=1, alpha=alpha, c1=c1)
 
-        split = split_sample(sample, 3)
-        (X1, Y1), (X2, Y2), (X3, Y3) = split.subsamples
+        (X1, Y1), (X2, Y2), (X3, Y3) = split_sample(sample, 3)
         fit = sqrt_slope_fit(X1, Y1, c1=c1)
         tilde = debias(fit.theta_hat, X3, Y3)
         sigma_used = np.sqrt(2.0) * fit.sigma_hat
-        expected = q_sparse(fit.theta_hat, tilde, sigma_used, np.full(2, 1.0 / 3), alpha, 1, X2, Y2)
+        tau = sparse_threshold(sigma_used, np.full(2, 1.0 / 3), alpha, 2, 1)
+        expected = q_sparse(fit.theta_hat, tilde, tau, X2, Y2)
         assert est.q_hat == pytest.approx(expected, rel=1e-12)
         assert est.sigma_hat == pytest.approx(fit.sigma_hat, rel=1e-12)
 

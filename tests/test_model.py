@@ -135,14 +135,14 @@ class TestSplitSample:
         return RegressionSample(X=rng.standard_normal((N, p)), Y=rng.standard_normal(N))
 
     def test_even_three_way(self):
-        split = split_sample(self._sample(6), 3)
-        assert split.parts == 3 and split.dropped_rows == 0
-        assert all(X.shape[0] == 2 for X, _ in split.subsamples)
+        blocks = split_sample(self._sample(6), 3)
+        assert len(blocks) == 3
+        assert all(X.shape[0] == 2 and Y.shape[0] == 2 for X, Y in blocks)
 
     def test_floor_rule_drops_remainder(self):
-        split = split_sample(self._sample(7), 2)
-        assert [X.shape[0] for X, _ in split.subsamples] == [3, 3]
-        assert split.dropped_rows == 1
+        blocks = split_sample(self._sample(7), 2)
+        assert [X.shape[0] for X, _ in blocks] == [3, 3]
+        assert 7 - len(blocks) * blocks[0][0].shape[0] == 1  # rows dropped
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
@@ -155,11 +155,12 @@ class TestSplitSample:
             if N < parts:
                 continue
             sample = self._sample(int(N))
-            split = split_sample(sample, parts)
-            n = split.n
-            stacked = np.vstack([X for X, _ in split.subsamples])
+            blocks = split_sample(sample, parts)
+            n = blocks[0][0].shape[0]
+            stacked = np.vstack([X for X, _ in blocks])
             np.testing.assert_array_equal(stacked, sample.X[: parts * n])
-            assert parts * n + split.dropped_rows == sample.N
+            np.testing.assert_array_equal(np.concatenate([Y for _, Y in blocks]), sample.Y[: parts * n])
+            assert 0 <= sample.N - parts * n < parts  # rows dropped
 
 
 class TestCsvRoundTrip:

@@ -120,3 +120,31 @@ def test_unknown_regime():
     sample = synthesize(ModelSpec(theta=np.zeros(4), sigma=1.0), Dimensions(N=40, p=4, s=1), 3)
     with pytest.raises(ValueError, match="regime"):
         estimate(sample, 1, "medium")
+
+
+@pytest.mark.parametrize(
+    "regime, shape", [(regime, shape) for regime in sorted(SHAPES) for shape in SHAPES[regime]]
+)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.sampled_from([0.0, 0.5, 2.0]),
+    alpha=st.sampled_from([0.5, 1.0, 4.0]),
+)
+def test_column_permutation_equivariance(regime, shape, seed, magnitude, alpha):
+    """Relabelling the coordinates keeps the branch, and changes the estimate,
+    the noise estimate and the selection threshold only by summation order."""
+    N, p, s = shape
+    rng = np.random.default_rng(seed)
+    theta = sample_sparse_theta(p, s, magnitude, rng=rng)
+    sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=N, p=p, s=s), seed)
+    permuted = RegressionSample(X=sample.X[:, rng.permutation(p)], Y=sample.Y)
+    base = estimate(sample, s, regime, alpha=alpha)
+    other = estimate(permuted, s, regime, alpha=alpha)
+    assert other.branch == base.branch
+    assert other.q_hat == pytest.approx(base.q_hat, rel=1e-9)
+    assert other.sigma_hat == pytest.approx(base.sigma_hat, rel=1e-9)
+    if base.branch == "dense":
+        assert base.threshold is None and other.threshold is None
+    else:
+        assert other.threshold == pytest.approx(base.threshold, rel=1e-9)

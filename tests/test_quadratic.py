@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalnorm import (
     component_estimates,
@@ -10,6 +12,7 @@ from signalnorm import (
     q_dense,
     q_sparse,
     sample_sparse_theta,
+    sparse_threshold,
 )
 
 
@@ -32,14 +35,14 @@ class TestComponentEstimates:
     def test_hand_computed_single_coordinate(self):
         # prelim 0, X column (1, 1), Y (2, 3): pair sum (1*1*2*3)*2 / (2*1) = 6
         out = component_estimates(np.zeros(1), np.array([[1.0], [1.0]]), np.array([2.0, 3.0]))
-        np.testing.assert_allclose(out.a, [6.0])
+        np.testing.assert_allclose(out, [6.0])
 
     def test_zero_residual_returns_squares(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((8, 4))
         theta = rng.standard_normal(4)
         out = component_estimates(theta, X, X @ theta)
-        np.testing.assert_allclose(out.a, theta**2, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, theta**2, rtol=1e-12, atol=1e-12)
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
@@ -49,15 +52,17 @@ class TestComponentEstimates:
         with pytest.raises(ValueError, match="mismatch"):
             component_estimates(np.zeros(3), np.ones((4, 2)), np.ones(4))
 
-    def test_matches_naive_double_sum(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            X = rng.standard_normal((5, 4))
-            Y = rng.standard_normal(5)
-            prelim = rng.standard_normal(4)
-            fast = component_estimates(prelim, X, Y).a
-            slow = naive_components(prelim, X, Y)
-            np.testing.assert_allclose(fast, slow, rtol=1e-10)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 9), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_double_sum(self, n, p, seed):
+        """The O(n) pair sum equals the literal double sum on random shapes."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        Y = rng.standard_normal(n)
+        prelim = rng.standard_normal(p)
+        fast = component_estimates(prelim, X, Y)
+        slow = naive_components(prelim, X, Y)
+        np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
     def test_conditionally_unbiased_per_coordinate(self):
         """Mean of a_j over fresh data blocks hits theta_j^2 within 3 SE."""
@@ -70,7 +75,7 @@ class TestComponentEstimates:
         for i in range(reps):
             X = rng.standard_normal((n, p))
             Y = X @ theta + rng.standard_normal(n)
-            draws[i] = component_estimates(prelim, X, Y).a
+            draws[i] = component_estimates(prelim, X, Y)
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - theta**2), 3 * se)
 
@@ -123,7 +128,8 @@ class TestQSparse:
 
     def test_huge_alpha_kills_everything(self):
         X2, Y2 = self._toy()
-        out = q_sparse(np.zeros(2), np.array([5.0, 5.0]), 1.0, np.ones(2), 1e6, 1, X2, Y2)
+        tau = sparse_threshold(1.0, np.ones(2), 1e6, 2, 1)
+        out = q_sparse(np.zeros(2), np.array([5.0, 5.0]), tau, X2, Y2)
         assert out == 0.0
 
     def test_zero_alpha_equals_dense(self):
@@ -131,7 +137,8 @@ class TestQSparse:
         rng = np.random.default_rng(8)
         prelim = rng.standard_normal(2)
         bar = rng.standard_normal(2)  # almost surely nonzero
-        assert q_sparse(prelim, bar, 1.0, np.ones(2), 0.0, 1, X2, Y2) == pytest.approx(
+        tau = sparse_threshold(1.0, np.ones(2), 0.0, 2, 1)
+        assert q_sparse(prelim, bar, tau, X2, Y2) == pytest.approx(
             q_dense(prelim, X2, Y2), rel=1e-12
         )
 
@@ -139,7 +146,8 @@ class TestQSparse:
         """p=2, s=1, threshold sqrt(log 3): only the first coordinate survives."""
         X2, Y2 = self._toy()
         a = naive_components(np.zeros(2), X2, Y2)
-        out = q_sparse(np.zeros(2), np.array([5.0, 0.001]), 1.0, np.ones(2), 1.0, 1, X2, Y2)
+        tau = sparse_threshold(1.0, np.ones(2), 1.0, 2, 1)
+        out = q_sparse(np.zeros(2), np.array([5.0, 0.001]), tau, X2, Y2)
         assert out == pytest.approx(a[0], rel=1e-12)
         # and the second coordinate is genuinely below sqrt(log 3) ~ 1.0481
         assert abs(0.001) < np.sqrt(np.log(3.0))
@@ -148,21 +156,27 @@ class TestQSparse:
         """Equality with the threshold does not select the coordinate."""
         X2, Y2 = self._toy()
         tau = np.sqrt(np.log1p(2.0))  # alpha=1, sigma=1, diagonal 1, s=1
-        out = q_sparse(np.zeros(2), np.array([tau, 0.0]), 1.0, np.ones(2), 1.0, 1, X2, Y2)
+        given = sparse_threshold(1.0, np.ones(2), 1.0, 2, 1)
+        out = q_sparse(np.zeros(2), np.array([tau, 0.0]), given, X2, Y2)
         assert out == 0.0
 
+    def test_threshold_scale_checked(self):
+        for args, match in (((1.0, np.ones(2), -1.0, 2, 1), "alpha"),
+                            ((0.0, np.ones(2), 1.0, 2, 1), "sigma_hat"),
+                            ((1.0, np.ones(2), 1.0, 2, 0), "s must")):
+            with pytest.raises(ValueError, match=match):
+                sparse_threshold(*args)
+
     def test_negative_threshold_matrix_rejected(self):
-        X2, Y2 = self._toy()
         with pytest.raises(ValueError, match="negative"):
-            q_sparse(np.zeros(2), np.ones(2), 1.0, -np.ones(2), 1.0, 1, X2, Y2)
+            sparse_threshold(1.0, -np.ones(2), 1.0, 2, 1)
 
     def test_threshold_diagonal_must_have_length_p(self):
         """The threshold matrix enters only through its length-p diagonal:
         a scalar, a matrix or a vector of another length is rejected."""
-        X2, Y2 = self._toy()
         for diag in (1.0, np.eye(2), np.ones(3)):
             with pytest.raises(ValueError, match="diagonal has shape"):
-                q_sparse(np.zeros(2), np.ones(2), 1.0, diag, 1.0, 1, X2, Y2)
+                sparse_threshold(1.0, diag, 1.0, 2, 1)
 
 
 class TestNormFromQ:

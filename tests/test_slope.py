@@ -14,7 +14,6 @@ from signalnorm import (
     estimate_highdim,
     prox_sorted_l1,
     sample_sparse_theta,
-    sigma_srs,
     slope_weights,
     sorted_l1_norm,
     sqrt_slope_fit,
@@ -119,21 +118,21 @@ def grid_prox_2d(v, w, levels=4, points=161):
 class TestSlopeWeights:
     def test_single_coordinate(self):
         w = slope_weights(1, 1, 1.0)
-        np.testing.assert_allclose(w.lam, [np.sqrt(np.log(2.0))])
+        np.testing.assert_allclose(w, [np.sqrt(np.log(2.0))])
 
     def test_two_coordinates(self):
         w = slope_weights(2, 100, 1.0)
-        np.testing.assert_allclose(w.lam, [np.sqrt(np.log(4.0) / 100), np.sqrt(np.log(2.0) / 100)])
+        np.testing.assert_allclose(w, [np.sqrt(np.log(4.0) / 100), np.sqrt(np.log(2.0) / 100)])
 
     def test_last_weight_formula(self):
         for p in (1, 3, 17, 200):
             w = slope_weights(p, 50, 2.5)
-            assert w.lam[-1] == pytest.approx(2.5 * np.sqrt(np.log(2.0) / 50))
-            assert w.lam[-1] > 0
+            assert w[-1] == pytest.approx(2.5 * np.sqrt(np.log(2.0) / 50))
+            assert w[-1] > 0
 
     def test_nonincreasing(self):
         w = slope_weights(64, 10, 1.7)
-        assert np.all(np.diff(w.lam) <= 0)
+        assert np.all(np.diff(w) <= 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -309,7 +308,7 @@ class TestSqrtSlopeFit:
             X = rng.standard_normal((40, 10))
             Y = X @ theta + 0.5 * rng.standard_normal(40)
             fit = sqrt_slope_fit(X, Y)
-            w_eff = np.sqrt(40) * slope_weights(10, 40).lam
+            w_eff = np.sqrt(40) * slope_weights(10, 40)
             ols = np.linalg.lstsq(X, Y, rcond=None)[0]
             best = np.inf
             for scale in (0.0, 0.5, 1.0):
@@ -350,24 +349,6 @@ class TestSqrtSlopeFit:
             errs.append(np.linalg.norm(fit.theta_hat - theta))
         bound = 5 * sigma * np.sqrt(s * np.log(np.e * p / s) / n)
         assert np.median(errs) <= bound
-
-
-class TestSigmaSrs:
-    def test_zero_residual(self):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((6, 2))
-        theta = rng.standard_normal(2)
-        assert sigma_srs(X, X @ theta, theta) == 0.0
-
-    def test_unit_residual(self):
-        X = np.zeros((4, 1))
-        assert sigma_srs(X, np.ones(4), np.zeros(1)) == pytest.approx(1.0)
-
-    def test_zero_fit_collapses_to_response_norm(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((5, 3))
-        Y = rng.standard_normal(5)
-        assert sigma_srs(X, Y, np.zeros(3)) == pytest.approx(np.linalg.norm(Y) / np.sqrt(5))
 
 
 def _hex(values):
