@@ -28,10 +28,11 @@ records = sn.run_trials(config)
 errors = sum(r.error is not None for r in records)
 print(f"ran {len(records)} trials ({errors} errored)")
 
-out_dir = Path(tempfile.mkdtemp(prefix="signalnorm_rates_"))
-paths = sn.report(records, out_dir=out_dir)
-print(f"wrote {paths['records']} and {paths['summary']}")
-summary = json.loads(Path(paths["summary"]).read_text())
+# The report goes to a temporary directory, removed once the summary is read.
+with tempfile.TemporaryDirectory(prefix="signalnorm_rates_") as out_dir:
+    paths = sn.report(records, out_dir=Path(out_dir))
+    print(f"wrote {paths['records']} and {paths['summary']}")
+    summary = json.loads(Path(paths["summary"]).read_text())
 
 # At zero signal the norm error is the estimate itself, so the mean squared
 # norm error the report fits against n is the mean squared-norm estimate.

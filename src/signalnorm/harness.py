@@ -14,6 +14,7 @@ import ast
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -147,14 +148,16 @@ class ExperimentConfig:
     pattern: str = "equal"
 
     def __post_init__(self):
+        self._check_types()
         if self.task not in ("estimate-norm", "estimate-q", "detect"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.regime not in ("low", "high", "auto"):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not self.n:
-            raise ValueError("n grid is empty")
+        for name in ("n", "sigma", "magnitude"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} grid is empty")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta is not None and self.beta <= 0:
@@ -167,6 +170,30 @@ class ExperimentConfig:
         # rather than as an error tag on every trial.
         for sigma in self.sigma:
             ModelSpec(theta=np.zeros(1), sigma=float(sigma), design=self.design, noise=self.noise)
+
+    def _check_types(self) -> None:
+        """Reject values of the wrong JSON type before any comparison uses them."""
+        kinds = {numbers.Integral: "an integer", numbers.Real: "a number", str: "a string"}
+
+        def check(name, value, kind):
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {kinds[kind]}, got {value!r}")
+
+        for name in ("seed", "replications", "calib_trials"):
+            check(name, getattr(self, name), numbers.Integral)
+        for name in ("alpha", "c1", "delta"):
+            check(name, getattr(self, name), numbers.Real)
+        if self.beta is not None:
+            check("beta", self.beta, numbers.Real)
+        for name in ("task", "regime", "p_rule", "s_rule", "design", "noise", "pattern"):
+            check(name, getattr(self, name), str)
+        for name, kind in (("n", numbers.Integral), ("sigma", numbers.Real),
+                           ("magnitude", numbers.Real)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            for value in values:
+                check(f"every {name} entry", value, kind)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

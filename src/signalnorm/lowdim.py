@@ -35,19 +35,25 @@ class SingularDesignError(np.linalg.LinAlgError):
 
 @dataclass
 class OlsFit:
-    """Least squares fit with the inverse Gram matrix and noise estimate."""
+    """Least squares fit, the diagonal of the inverse Gram matrix and the
+    noise estimate."""
 
     theta_hat: np.ndarray
-    gram_inverse: np.ndarray
+    gram_inverse_diag: np.ndarray  # diag((X1^T X1)^{-1}), length p
     sigma_hat: float
 
 
 def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
-    """Least squares via SVD (rank-revealing orthogonal factorization).
+    """Least squares from one Householder QR of the augmented block [X1 | Y1].
 
-    Requires n > p so the noise estimate ||Y1 - X1 theta_hat||_2 / sqrt(n - p)
-    is defined; the inverse Gram matrix (X1^T X1)^{-1} is materialized for
-    the sparse-branch thresholds.
+    The triangular factor of [X1 | Y1] holds R (the factor of X1) in its
+    leading p x p block, Q^T Y1 in the column beside it and, in its corner,
+    the residual norm ||Y1 - X1 theta_hat||_2 (Golub & Van Loan, Matrix
+    Computations, section 5.3).  So theta_hat = R^{-1} Q^T Y1, the noise
+    estimate is that corner over sqrt(n - p), which needs n > p, and
+    diag((X1^T X1)^{-1}) = diag(R^{-1} R^{-T}) is the squared row norms of
+    R^{-1}; the full inverse Gram matrix is never formed.  R has the singular
+    values of X1, which the rank guard reads.
     """
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
@@ -56,15 +62,18 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
         raise ValueError("row mismatch between X1 and Y1")
     if n <= p:
         raise ValueError(f"need n > p for the least squares pipeline, got n={n}, p={p}")
-    U, svals, Vt = np.linalg.svd(X1, full_matrices=False)
+    R_aug = np.linalg.qr(np.column_stack([X1, Y1]), mode="r")
+    R = R_aug[:p, :p]
+    svals = np.linalg.svd(R, compute_uv=False)
     if svals[-1] < _SINGULAR_RTOL * svals[0]:
         raise SingularDesignError(
             f"design is numerically singular: sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}"
         )
-    theta_hat = Vt.T @ ((U.T @ Y1) / svals)
-    gram_inverse = (Vt.T / svals**2) @ Vt
-    sigma_hat = float(np.linalg.norm(Y1 - X1 @ theta_hat) / np.sqrt(n - p))
-    return OlsFit(theta_hat=theta_hat, gram_inverse=gram_inverse, sigma_hat=sigma_hat)
+    R_inv = np.linalg.inv(R)
+    theta_hat = R_inv @ R_aug[:p, p]
+    sigma_hat = float(abs(R_aug[p, p]) / np.sqrt(n - p))
+    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=(R_inv**2).sum(axis=1),
+                  sigma_hat=sigma_hat)
 
 
 def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> FunctionalEstimate:
@@ -78,7 +87,7 @@ def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> Fun
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={sample.p}")
     (X1, Y1), (X2, Y2) = split_sample(sample, 2)
     fit = ols_fit(X1, Y1)
-    screening = (fit.theta_hat, fit.sigma_hat, np.diag(fit.gram_inverse))
+    screening = (fit.theta_hat, fit.sigma_hat, fit.gram_inverse_diag)
     return quadratic_stage(
         fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
         regime="low", n_per_split=X1.shape[0], parts=2,

@@ -143,15 +143,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_CONFIG
     # tuning and data laws that the config rejects when it loads, rather than
-    # tagging every trial with the same error
+    # tagging every trial with the same error; values of the wrong type, rather
+    # than a TypeError traceback; empty grids, rather than a run of no trials
     for key, value in (("alpha", -1.0), ("beta", 0.0), ("delta", 1.5), ("calib_trials", 0),
                        ("sigma", [-1.0]), ("sigma", ["a"]), ("design", "bogus"),
-                       ("noise", "bogus")):
+                       ("noise", "bogus"), ("replications", "3"), ("sigma", [None]),
+                       ("sigma", []), ("magnitude", [])):
         bad3 = tmp_path / f"bad-{key}.json"
         bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
         code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])
         capsys.readouterr()
-        assert code == EXIT_CONFIG, key
+        assert code == EXIT_CONFIG, (key, value)
     high = tmp_path / "bad-high.json"
     high.write_text(json.dumps({"seed": 1, "regime": "high", "s_rule": "p", "alpha": -3.0}))
     code = main(["simulate", "--config", str(high), "--out-dir", str(tmp_path / "out")])
@@ -189,7 +191,8 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
 
 def test_import_does_not_load_scipy_optimize(tmp_path):
     """Every CLI process pays for what `import signalnorm.cli` loads: scipy.optimize
-    alone measured about 0.2 s and 24 MB there, so the package must not import it."""
+    alone measured about 0.2 s and 24 MB there, and scipy.linalg 55 ms, so the
+    package must import neither."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -200,4 +203,5 @@ def test_import_does_not_load_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "signalnorm.slope" in loaded
-    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
+    for heavy in ("optimize", "linalg"):
+        assert not [m for m in loaded if m.split(".")[:2] == ["scipy", heavy]], heavy

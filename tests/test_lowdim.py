@@ -1,7 +1,12 @@
 """Tests for the OLS-based estimation and detection pipeline (n > p)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalnorm import (
     Dimensions,
@@ -10,6 +15,7 @@ from signalnorm import (
     SingularDesignError,
     detect,
     detection_threshold,
+    estimate,
     estimate_lowdim,
     fit_rate,
     ols_fit,
@@ -17,6 +23,61 @@ from signalnorm import (
     synthesize,
 )
 from signalnorm.calibration import calibrate_beta, clear_cache
+from signalnorm.lowdim import _SINGULAR_RTOL
+
+# Seeded low-regime `estimate` and `detect` outputs as float.hex strings,
+# recorded with the SVD least squares that `ols_reference` keeps.
+GOLDENS = json.loads((Path(__file__).parent / "goldens" / "lowdim.json").read_text())
+
+# QR and SVD round differently: theta_hat (norm-wise), sigma_hat and the
+# diagonal of the inverse Gram matrix may differ from the SVD fit by this
+# relative amount, and so may every float of the seeded pipeline outputs.
+RTOL = 1e-10
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def ols_reference(X1, Y1):
+    """Least squares as first written: a thin SVD of X1 with the full inverse
+    Gram matrix, kept as the reference for the QR fit.  Returns
+    ``(theta_hat, diag((X1^T X1)^{-1}), sigma_hat)``."""
+    X1 = np.asarray(X1, dtype=float)
+    Y1 = np.asarray(Y1, dtype=float)
+    n, p = X1.shape
+    if Y1.shape[0] != n:
+        raise ValueError("row mismatch between X1 and Y1")
+    if n <= p:
+        raise ValueError(f"need n > p for the least squares pipeline, got n={n}, p={p}")
+    U, svals, Vt = np.linalg.svd(X1, full_matrices=False)
+    if svals[-1] < _SINGULAR_RTOL * svals[0]:
+        raise SingularDesignError(
+            f"design is numerically singular: sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}"
+        )
+    theta_hat = Vt.T @ ((U.T @ Y1) / svals)
+    gram_inverse = (Vt.T / svals**2) @ Vt
+    sigma_hat = float(np.linalg.norm(Y1 - X1 @ theta_hat) / np.sqrt(n - p))
+    return theta_hat, np.diag(gram_inverse), sigma_hat
+
+
+def design_with_spectrum(n, svals, rng):
+    """An n x p design whose singular values are `svals`, up to rounding."""
+    p = len(svals)
+    U, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    V, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (U * svals) @ V.T
+
+
+@st.composite
+def ols_inputs(draw):
+    """Gaussian designs, optionally with columns rescaled over six decades,
+    p in 1..12 and n in p+1..4p, with a Gaussian response."""
+    p = draw(st.integers(1, 12))
+    n = draw(st.integers(p + 1, 4 * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    if draw(st.booleans()):
+        X *= 10.0 ** rng.uniform(-3, 3, size=p)
+    return X, rng.standard_normal(n)
 
 
 def _gaussian_sample(N, p, theta=None, sigma=1.0, seed=0):
@@ -42,11 +103,12 @@ class TestOlsFit:
         assert fit.theta_hat[0] == pytest.approx(2.0)
         assert fit.sigma_hat == pytest.approx(1.0)
 
-    def test_gram_inverse_identity(self):
+    def test_gram_inverse_diag(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
         fit = ols_fit(X, rng.standard_normal(30))
-        np.testing.assert_allclose(X.T @ X @ fit.gram_inverse, np.eye(6), atol=1e-8)
+        np.testing.assert_allclose(fit.gram_inverse_diag, np.diag(np.linalg.inv(X.T @ X)),
+                                   rtol=1e-12)
 
     def test_singular_design_rejected(self):
         rng = np.random.default_rng(2)
@@ -58,6 +120,56 @@ class TestOlsFit:
     def test_requires_more_rows_than_columns(self):
         with pytest.raises(ValueError, match="n > p"):
             ols_fit(np.ones((3, 3)), np.ones(3))
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="row mismatch"):
+            ols_fit(np.ones((4, 2)), np.ones(3))
+
+    @pytest.mark.parametrize("ratio,singular", [(1e-12, True), (1e-6, False)])
+    def test_singular_guard_near_threshold(self, ratio, singular):
+        """The guard sits at sigma_min/sigma_max = 1e-10: a design at 1e-12 is
+        rejected and one at 1e-6 is fitted."""
+        rng = np.random.default_rng(3)
+        X = design_with_spectrum(40, np.geomspace(1.0, ratio, 5), rng)
+        Y = rng.standard_normal(40)
+        if singular:
+            with pytest.raises(SingularDesignError, match="singular"):
+                ols_fit(X, Y)
+        else:
+            assert np.all(np.isfinite(ols_fit(X, Y).theta_hat))
+
+    @PROPERTY
+    @given(ols_inputs())
+    def test_matches_svd_reference(self, XY):
+        """The reference runs on the column-equilibrated design, and its outputs
+        are scaled back: Householder QR is invariant to column scaling, the SVD
+        is not, and on rescaled near-square designs the SVD fit of X itself
+        strays up to 9e-10 from the equilibrated solution while the QR fit stays
+        within 5e-14 of it."""
+        X, Y = XY
+        scale = np.linalg.norm(X, axis=0)
+        theta_ref, diag_ref, sigma_ref = ols_reference(X / scale, Y)
+        theta_ref, diag_ref = theta_ref / scale, diag_ref / scale**2
+        fit = ols_fit(X, Y)
+        assert np.linalg.norm(fit.theta_hat - theta_ref) <= RTOL * np.linalg.norm(theta_ref)
+        np.testing.assert_allclose(fit.gram_inverse_diag, diag_ref, rtol=RTOL, atol=0)
+        assert fit.sigma_hat == pytest.approx(sigma_ref, rel=RTOL, abs=0)
+
+    @PROPERTY
+    @given(p=st.integers(2, 12), extra=st.integers(1, 36), seed=st.integers(0, 2**32 - 1),
+           log_ratio=st.one_of(st.floats(-15, -11), st.floats(-9, -1)))
+    def test_singular_guard_matches_svd_reference(self, p, extra, seed, log_ratio):
+        """Both fits reject the same designs: those whose sigma_min/sigma_max lies
+        a decade or more below the guard, and no design a decade or more above."""
+        rng = np.random.default_rng(seed)
+        X = design_with_spectrum(p + extra, np.geomspace(1.0, 10.0**log_ratio, p), rng)
+        Y = rng.standard_normal(p + extra)
+        for fit in (ols_fit, ols_reference):
+            if log_ratio < -10:
+                with pytest.raises(SingularDesignError):
+                    fit(X, Y)
+            else:
+                fit(X, Y)
 
 
 class TestBranchRule:
@@ -186,3 +298,53 @@ def test_dense_null_risk_tracks_theoretical_rate():
         points.append((n, float(np.mean(vals))))
     slope = fit_rate(points).slope
     assert -0.8 <= slope <= -0.2
+
+
+# (s, magnitude, alpha): s = 2 takes the sparse branch at p = 30, s = 10 the
+# dense one; alpha = 1 lets the sparse null select coordinates.
+GOLDEN_CASES = {
+    "sparse-null": (2, 0.0, 1.0),
+    "sparse-signal": (2, 1.0, 1.0),
+    "dense-null": (10, 0.0, 4.0),
+    "dense-signal": (10, 0.5, 4.0),
+}
+
+
+def _golden_outputs(case):
+    """Seeded low-regime estimate, detect at a given beta and detect with a
+    calibrated beta on an N=240, p=30 sample; floats as float.hex."""
+    s, magnitude, alpha = GOLDEN_CASES[case]
+    theta = sample_sparse_theta(30, s, magnitude, rng=np.random.default_rng(40))
+    sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=240, p=30, s=s), 43)
+    est = estimate(sample, s, "low", alpha=alpha)
+    out = {k: v.hex() if isinstance(v, float) else v for k, v in est.to_dict().items()}
+    out["split_tags"] = est.split_tags
+    for name, beta in (("detect", 2.0), ("detect_calibrated", None)):
+        decision, lam, thr, used = detect(sample, s, "low", alpha=alpha, beta=beta,
+                                          calib_trials=300, calib_seed=5)
+        out[name] = [decision, lam.hex(), thr.hex(), used.hex()]
+    return out
+
+
+def _assert_matches_golden(got, want):
+    """Floats (float.hex in the golden) to RTOL; everything else exactly."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_matches_golden(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_matches_golden(g, w)
+    elif isinstance(want, str) and want.lstrip("-").startswith("0x"):
+        assert float.fromhex(got) == pytest.approx(float.fromhex(want), rel=RTOL, abs=0)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_outputs(case):
+    """Seeded low-regime estimates and decisions, on both branches and with a
+    given and a calibrated beta, stay within RTOL of the SVD-era outputs, with
+    branches and decisions exact."""
+    _assert_matches_golden(_golden_outputs(case), GOLDENS[case])
