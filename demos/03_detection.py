@@ -29,7 +29,7 @@ for child in rng_level.spawn(trials):
 print(f"empirical level at sigma=3: {rejections / trials:.3f} (target ~ {delta})")
 
 # Power across signal strengths, in units of the reference separation radius.
-radius = sn.theoretical_rate(p, N, s, sigma=1.0, kappa=0.0, which="rho")
+radius = sn.detection_threshold(1.0, 1.0, s, p, N)  # sqrt(s log(1 + sqrt(p)/s) / N)
 print(f"\nreference separation radius: {radius:.4f}")
 for mult in (1.0, 3.0, 5.0):
     detections = 0

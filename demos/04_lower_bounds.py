@@ -29,10 +29,10 @@ a = tau * np.eye(6)[0]
 b = tau * (np.eye(6)[0] + np.eye(6)[1]) / np.sqrt(2)
 print(f"\ncross moment at overlap <a,b>={a @ b:.4f}, N=20: {sn.chi2_cross(a, b, 20):.4f}")
 
-# Draws from the least-favorable prior all sit on a sphere of radius tau.
-prior = sn.PriorSpec(p=12, s=3, tau=0.8)
+# Draws from the least-favorable prior (p = 12, s = 3, tau = 0.8) all sit on a
+# sphere of radius tau.
 rng = np.random.default_rng(5)
-draws = [sn.sample_prior_theta(prior, rng) for _ in range(3)]
+draws = [sn.sample_sparse_theta(12, 3, 0.8, rng=rng) for _ in range(3)]
 for d in draws:
     print(f"prior draw: support {np.flatnonzero(d)}, norm {np.linalg.norm(d):.4f}")
 

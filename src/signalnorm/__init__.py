@@ -27,19 +27,16 @@ from .harness import (
     report,
     run_trials,
     summarize,
-    theoretical_rate,
 )
 from .highdim import estimate_highdim
 from .lowdim import OlsFit, SingularDesignError, estimate_lowdim, ols_fit
 from .lower_bounds import (
-    PriorSpec,
     RadiusBundle,
     bayes_testing_risk_bound,
     chi2_cross,
     hypergeometric_mgf_bound,
     minimax_testing_lower_radius,
     q_lower_bound,
-    sample_prior_theta,
     tau_from_rho,
 )
 from .model import (
@@ -47,7 +44,6 @@ from .model import (
     ModelSpec,
     RegressionSample,
     read_sample,
-    sample_design,
     sample_sparse_theta,
     split_sample,
     synthesize,
@@ -58,9 +54,6 @@ from .quadratic import (
     FunctionalEstimate,
     component_estimates,
     debias,
-    norm_from_q,
-    q_dense,
-    q_sparse,
     sparse_threshold,
 )
 from .slope import (
@@ -75,17 +68,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dimensions", "ModelSpec", "RegressionSample",
-    "sample_design", "synthesize", "sample_sparse_theta", "split_sample",
+    "synthesize", "sample_sparse_theta", "split_sample",
     "write_sample", "read_sample",
     "FunctionalEstimate", "component_estimates",
-    "debias", "q_dense", "q_sparse", "norm_from_q", "sparse_threshold",
+    "debias", "sparse_threshold",
     "OlsFit", "SingularDesignError", "ols_fit", "estimate_lowdim",
     "SlopeFit", "slope_weights", "sorted_l1_norm",
     "prox_sorted_l1", "sqrt_slope_fit", "estimate_highdim",
     "estimate", "detect", "detection_threshold",
-    "PriorSpec", "RadiusBundle", "tau_from_rho", "sample_prior_theta",
+    "RadiusBundle", "tau_from_rho",
     "chi2_cross", "hypergeometric_mgf_bound", "bayes_testing_risk_bound",
     "minimax_testing_lower_radius", "q_lower_bound",
     "ExperimentConfig", "TrialRecord", "RateFit", "run_trials", "fit_rate",
-    "theoretical_rate", "summarize", "report", "calibrate_beta",
+    "summarize", "report", "calibrate_beta",
 ]

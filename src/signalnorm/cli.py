@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -150,13 +151,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_rates(args) -> int:
     records = harness.read_records(args.source)
     fit = harness.fit_rate(harness.metric_points(records, args.metric))
-    print(json.dumps({
-        "metric": args.metric,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points": fit.points,
-    }))
+    print(json.dumps({"metric": args.metric, **asdict(fit)}))
     return EXIT_OK
 
 

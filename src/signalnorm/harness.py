@@ -15,12 +15,12 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import pipeline
+from . import lower_bounds, pipeline
 from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
 from .quadratic import split_parts
 
@@ -32,7 +32,6 @@ __all__ = [
     "run_trials",
     "run_single_trial",
     "fit_rate",
-    "theoretical_rate",
     "summarize",
     "metric_points",
     "report",
@@ -357,23 +356,6 @@ def fit_rate(points) -> RateFit:
     )
 
 
-def theoretical_rate(p: int, N: int, s: int, sigma: float, kappa: float, which: str) -> float:
-    """Reference scaling for the estimation and detection problems, constants 1.
-
-    "phi": sigma sqrt(s log(1 + sqrt(p)/s) / N)   (norm estimation)
-    "q":   min(sigma^2 s log(1 + sqrt(p)/s) / N + sigma kappa / sqrt(N), kappa^2)
-    "rho": sqrt(s log(1 + sqrt(p)/s) / N)          (detection separation)
-    """
-    base = s * np.log1p(np.sqrt(p) / s) / N
-    if which == "phi":
-        return float(sigma * np.sqrt(base))
-    if which == "q":
-        return float(min(sigma**2 * base + sigma * kappa / np.sqrt(N), kappa**2))
-    if which == "rho":
-        return float(np.sqrt(base))
-    raise ValueError(f"unknown rate selector {which!r}")
-
-
 def _clean(values) -> np.ndarray:
     return np.asarray([v for v in values if v is not None], dtype=float)
 
@@ -421,14 +403,15 @@ def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
                     "abs_err_lambda_upper_quantile": float(np.quantile(np.abs(err_l), 1 - delta)),
                 }
             )
-            k = rec0.true_lambda
+            k, sigma = rec0.true_lambda, rec0.sigma
             n_eff = 2 * rec0.n  # reference scaling uses the 2-split budget
-            phi = theoretical_rate(rec0.p, n_eff, rec0.s, rec0.sigma, k, "phi")
+            base = lower_bounds.rate_sq(rec0.s, rec0.p, n_eff)  # psi^2; rates with constants 1
+            phi = float(sigma * np.sqrt(base))
             entry["theoretical_phi"] = phi
             entry["ratio_lambda_mse_to_phi_sq"] = (
                 entry["mse_lambda"] / phi**2 if phi > 0 else None
             )
-            q_rate = theoretical_rate(rec0.p, n_eff, rec0.s, rec0.sigma, k, "q")
+            q_rate = float(min(sigma**2 * base + sigma * k / np.sqrt(n_eff), k**2))
             entry["theoretical_q"] = q_rate
             entry["ratio_q_mse_to_rate_sq"] = entry["mse_q"] / q_rate**2 if q_rate > 0 else None
             decisions = [r.decision for r in ok if r.decision is not None]
@@ -498,15 +481,7 @@ def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float =
         if len(pts) >= 2 and all(y > 0 for _, y in pts):
             fits[metric] = fit_rate(pts)
     if fits:
-        summary["rate_fits"] = {
-            name: {
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "r_squared": f.r_squared,
-                "points": f.points,
-            }
-            for name, f in fits.items()
-        }
+        summary["rate_fits"] = {name: asdict(f) for name, f in fits.items()}
     json_path = out_dir / "summary.json"
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -65,9 +65,9 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     R_aug = np.linalg.qr(np.column_stack([X1, Y1]), mode="r")
     R = R_aug[:p, :p]
     svals = np.linalg.svd(R, compute_uv=False)
-    if svals[-1] < _SINGULAR_RTOL * svals[0]:
+    if svals[0] == 0 or svals[-1] < _SINGULAR_RTOL * svals[0]:  # svals[0] = 0: X1 is all zero
         raise SingularDesignError(
-            f"design is numerically singular: sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}"
+            f"design is numerically singular: singular values in [{svals[-1]:.3e}, {svals[0]:.3e}]"
         )
     R_inv = np.linalg.inv(R)
     theta_hat = R_inv @ R_aug[:p, p]

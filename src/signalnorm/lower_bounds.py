@@ -7,43 +7,26 @@ second moments; the resulting testing risk is controlled through the
 cross moment of two Gaussian likelihood ratios, whose prior average reduces
 to the moment generating function of the support-overlap count (a
 hypergeometric variable).  All formulas are evaluated exactly, in log space
-where counts get large.
+where counts get large.  :func:`signalnorm.model.sample_sparse_theta` draws
+from that prior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
-    "PriorSpec",
     "RadiusBundle",
+    "rate_sq",
     "tau_from_rho",
-    "sample_prior_theta",
     "chi2_cross",
     "hypergeometric_mgf_bound",
     "bayes_testing_risk_bound",
     "minimax_testing_lower_radius",
     "q_lower_bound",
 ]
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Least-favorable prior: s nonzero coordinates, each equal to tau/sqrt(s)."""
-
-    p: int
-    s: int
-    tau: float
-
-    def __post_init__(self):
-        if not 1 <= self.s <= self.p:
-            raise ValueError(f"s must satisfy 1 <= s <= p, got s={self.s}, p={self.p}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
 
 
 class RadiusBundle(NamedTuple):
@@ -54,6 +37,12 @@ class RadiusBundle(NamedTuple):
     A: float
 
 
+def rate_sq(s: int, p: int, N: int) -> float:
+    """The squared minimax rate psi^2 = s log(1 + sqrt(p)/s) / N, which sets the
+    detection threshold, the radius rho and the harness's reference rates."""
+    return float(s * np.log1p(np.sqrt(p) / s) / N)
+
+
 def tau_from_rho(rho: float) -> float:
     """Signal norm tau = rho / sqrt(1 + rho^2) of the calibrated two-point pair.
 
@@ -62,15 +51,6 @@ def tau_from_rho(rho: float) -> float:
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     return float(rho / np.sqrt(1.0 + rho**2))
-
-
-def sample_prior_theta(spec: PriorSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw from the prior: support uniform over size-s subsets, values tau/sqrt(s)."""
-    rng = np.random.default_rng() if rng is None else rng
-    theta = np.zeros(spec.p)
-    support = rng.choice(spec.p, size=spec.s, replace=False)
-    theta[support] = spec.tau / np.sqrt(spec.s)
-    return theta
 
 
 def chi2_cross(theta: np.ndarray, theta_prime: np.ndarray, N: int) -> float:
@@ -94,6 +74,7 @@ def chi2_cross(theta: np.ndarray, theta_prime: np.ndarray, N: int) -> float:
 
 
 def _log_binom(a, b) -> np.ndarray:
+    from scipy.special import gammaln  # imported here to keep scipy out of package import
     return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
 
 
@@ -104,6 +85,7 @@ def hypergeometric_mgf_bound(p: int, s: int, N: int, tau: float) -> float:
 
     summed over h = max(0, 2s - p) .. s with log-space binomials.
     """
+    from scipy.special import logsumexp
     if not 1 <= s <= p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={p}")
     h = np.arange(max(0, 2 * s - p), s + 1, dtype=float)
@@ -137,7 +119,7 @@ def minimax_testing_lower_radius(p: int, N: int, s: int, delta: float) -> Radius
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     A = float(np.sqrt(0.5 * np.log((1.0 - delta) ** 2 + 1.0)))
-    rho = A * min(np.sqrt(s * np.log1p(np.sqrt(p) / s) / N), 1.0)
+    rho = A * min(np.sqrt(rate_sq(s, p, N)), 1.0)
     s_trunc = min(s, int(np.floor(np.sqrt(p))))
     r = A * min(np.sqrt(s_trunc * np.log1p(p / s_trunc**2) / N), 1.0)
     return RadiusBundle(rho=float(rho), r=float(r), A=A)
@@ -154,5 +136,5 @@ def q_lower_bound(p: int, N: int, s: int, sigma: float, kappa: float) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    rate = min(s * np.log1p(np.sqrt(p) / s) / N, 1.0)
+    rate = min(rate_sq(s, p, N), 1.0)
     return float(min(sigma**2 * rate + sigma * kappa / np.sqrt(N), kappa**2))

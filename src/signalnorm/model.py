@@ -22,8 +22,6 @@ __all__ = [
     "Dimensions",
     "ModelSpec",
     "RegressionSample",
-    "sample_design",
-    "sample_noise",
     "synthesize",
     "sample_sparse_theta",
     "split_sample",
@@ -145,27 +143,6 @@ class RegressionSample:
         return self.X.shape[1]
 
 
-def sample_design(dims: Dimensions, design: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw an N x p matrix with i.i.d. mean-0 variance-1 entries.
-
-    Deterministic given the generator state; raises on an unknown law tag.
-    """
-    try:
-        draw = DESIGN_LAWS[design]
-    except KeyError:
-        raise ValueError(f"unknown design law {design!r}") from None
-    return draw(rng, (dims.N, dims.p))
-
-
-def sample_noise(N: int, noise: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw a length-N noise vector with i.i.d. mean-0 variance-1 entries."""
-    try:
-        draw = NOISE_LAWS[noise]
-    except KeyError:
-        raise ValueError(f"unknown noise law {noise!r}") from None
-    return draw(rng, N)
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -175,9 +152,10 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 def synthesize(spec: ModelSpec, dims: Dimensions, seed: int) -> RegressionSample:
     """Generate a sample from Y = X theta + sigma xi, reproducible from `seed`.
 
-    The design and noise streams are derived from two spawned children of
-    ``SeedSequence(seed)``, so the same seed always reproduces the same
-    (X, Y) bit for bit.
+    X is N x p and xi has length N, both with i.i.d. mean-0 variance-1
+    entries from the spec's laws.  The design and noise streams are derived
+    from two spawned children of ``SeedSequence(seed)``, so the same seed
+    always reproduces the same (X, Y) bit for bit.
     """
     if spec.theta.shape[0] != dims.p:
         raise ValueError(
@@ -185,8 +163,8 @@ def synthesize(spec: ModelSpec, dims: Dimensions, seed: int) -> RegressionSample
         )
     ss = _seed_sequence(seed)
     ss_design, ss_noise = ss.spawn(2)
-    X = sample_design(dims, spec.design, np.random.default_rng(ss_design))
-    xi = sample_noise(dims.N, spec.noise, np.random.default_rng(ss_noise))
+    X = DESIGN_LAWS[spec.design](np.random.default_rng(ss_design), (dims.N, dims.p))
+    xi = NOISE_LAWS[spec.noise](np.random.default_rng(ss_noise), dims.N)
     Y = X @ spec.theta + spec.sigma * xi
     stored_seed = int(seed) if not isinstance(seed, np.random.SeedSequence) else None
     return RegressionSample(X=X, Y=Y, theta=spec.theta.copy(), sigma=spec.sigma, seed=stored_seed)
@@ -203,7 +181,9 @@ def sample_sparse_theta(
 
     Exactly s coordinates are nonzero, each of absolute value
     magnitude / sqrt(s); the support is uniform over size-s subsets.
-    `pattern` is "equal" (all positive) or "random-signs".
+    `pattern` is "equal" (all positive) or "random-signs".  With the default
+    "equal" pattern and magnitude tau this is also a draw from the
+    least-favorable prior of :mod:`signalnorm.lower_bounds`.
     """
     if not 1 <= s <= p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={p}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import calibration, highdim, lowdim
+from . import calibration, highdim, lowdim, lower_bounds
 from .model import RegressionSample
 from .quadratic import FunctionalEstimate
 
@@ -21,7 +21,7 @@ __all__ = ["estimate", "detect", "decide", "detection_threshold"]
 
 def detection_threshold(beta: float, sigma_hat: float, s: int, p: int, N: int) -> float:
     """Detection boundary beta * sigma_hat * sqrt(s * log(1 + sqrt(p)/s) / N)."""
-    return float(beta * sigma_hat * np.sqrt(s * np.log1p(np.sqrt(p) / s) / N))
+    return float(beta * sigma_hat * np.sqrt(lower_bounds.rate_sq(s, p, N)))
 
 
 def estimate(

@@ -17,9 +17,6 @@ __all__ = [
     "FunctionalEstimate",
     "component_estimates",
     "debias",
-    "q_dense",
-    "q_sparse",
-    "norm_from_q",
     "sparse_threshold",
     "sparse_branch",
     "split_parts",
@@ -97,11 +94,6 @@ def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return prelim + X.T @ (Y - X @ prelim) / n
 
 
-def q_dense(prelim: np.ndarray, X2: np.ndarray, Y2: np.ndarray) -> float:
-    """Dense estimate of the squared norm: the sum of all coordinate estimates."""
-    return float(component_estimates(prelim, X2, Y2).sum())
-
-
 def sparse_branch(s: int, p: int) -> bool:
     """Sparse zone s <= sqrt(p); the boundary s^2 = p is included."""
     return s * s <= p
@@ -130,34 +122,6 @@ def sparse_threshold(sigma_hat: float, diag, alpha: float, p: int, s: int) -> np
     return alpha * sigma_hat * np.sqrt(diag * np.log1p(p / s**2))
 
 
-def q_sparse(
-    prelim: np.ndarray,
-    bar_theta: np.ndarray,
-    tau: np.ndarray,
-    X2: np.ndarray,
-    Y2: np.ndarray,
-) -> float:
-    """Sparse estimate of the squared norm: coordinate estimates kept only where
-    the screening estimate `bar_theta` strictly clears the selection threshold
-    `tau` (:func:`sparse_threshold`).
-
-        sum_j a_j(prelim) * 1{ |bar_theta_j| > tau_j }
-
-    Ties at the threshold exclude the coordinate.
-    """
-    bar_theta = np.asarray(bar_theta, dtype=float)
-    a = component_estimates(prelim, X2, Y2)
-    if bar_theta.shape[0] != a.shape[0]:
-        raise ValueError("bar_theta length does not match p")
-    keep = np.abs(bar_theta) > tau
-    return float(a[keep].sum())
-
-
-def norm_from_q(q_hat: float) -> float:
-    """Norm estimate |q_hat|^(1/2); the absolute value keeps it defined when q_hat < 0."""
-    return float(np.sqrt(abs(q_hat)))
-
-
 def quadratic_stage(
     prelim: np.ndarray,
     sigma_hat: float,
@@ -170,12 +134,19 @@ def quadratic_stage(
 ) -> FunctionalEstimate:
     """The stage both pipelines share once their preliminary stage has run.
 
-    Evaluates on the fresh block (X2, Y2) the dense estimator (s > sqrt(p))
-    or the sparse one (s <= sqrt(p)).  The sparse branch selects with
-    `screening`, the triple (bar_theta, scale, diag) of the screening
-    vector, the noise scale of the threshold and its length-p diagonal;
-    without a screening triple (no preliminary fit) the estimate is dense.
-    `provenance` holds the remaining :class:`FunctionalEstimate` fields
+    Evaluates on the fresh block (X2, Y2), with a_j the coordinate estimates of
+    :func:`component_estimates`, the dense estimator sum_j a_j(prelim)
+    (s > sqrt(p)) or the sparse one (s <= sqrt(p))
+
+        sum_j a_j(prelim) * 1{ |bar_theta_j| > tau_j },
+
+    which keeps a coordinate only where the screening vector bar_theta strictly
+    clears the threshold tau of :func:`sparse_threshold`; ties exclude it.  The
+    norm estimate |q_hat|^(1/2) stays defined when q_hat < 0.  The sparse
+    branch selects with `screening`, the triple (bar_theta, scale, diag) of the
+    screening vector, the noise scale of the threshold and its length-p
+    diagonal; without a screening triple (no preliminary fit) the estimate is
+    dense.  `provenance` holds the remaining :class:`FunctionalEstimate` fields
     (regime, n_per_split, parts, split_tags).
     """
     if alpha <= 0:
@@ -185,15 +156,18 @@ def quadratic_stage(
         bar_theta, scale, diag = screening
         tau = sparse_threshold(scale, diag, alpha, p, s)
         threshold = float(np.max(tau))
-        q_hat = q_sparse(prelim, bar_theta, tau, X2, Y2)
+        bar_theta = np.asarray(bar_theta, dtype=float)
+        if bar_theta.shape[0] != p:
+            raise ValueError("bar_theta length does not match p")
+        q_hat = float(component_estimates(prelim, X2, Y2)[np.abs(bar_theta) > tau].sum())
         branch = "sparse"
     else:
         threshold = None
-        q_hat = q_dense(prelim, X2, Y2)
+        q_hat = float(component_estimates(prelim, X2, Y2).sum())
         branch = "dense"
     return FunctionalEstimate(
         q_hat=q_hat,
-        lambda_hat=norm_from_q(q_hat),
+        lambda_hat=float(np.sqrt(abs(q_hat))),
         sigma_hat=sigma_hat,
         branch=branch,
         threshold=threshold,

@@ -33,7 +33,7 @@ def test_01_dense_estimator_conditionally_unbiased():
     for i in range(reps):
         X = rng.standard_normal((n, p))
         Y = X @ theta + rng.standard_normal(n)
-        vals[i] = sn.q_dense(prelim, X, Y)
+        vals[i] = sn.component_estimates(prelim, X, Y).sum()
     se = vals.std(ddof=1) / np.sqrt(reps)
     dev = abs(vals.mean() - true_q)
     ok = dev <= 4 * se

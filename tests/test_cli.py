@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,68 @@ import numpy as np
 import pytest
 
 from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from signalnorm.pipeline import detection_threshold
+
+# Seeded `simulate` files, `rates` and `lower-bound` stdout and detection
+# thresholds, recorded before the rate and the report helpers were folded;
+# any change to the bytes of a report shows here.
+REPORT_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "reports.json").read_text())
+
+# Three small `simulate` configs: low-regime detection with a calibrated beta,
+# the high regime's sparse branch over 2 noise levels x 2 magnitudes, and its
+# dense branch over 3 sizes, which writes `rate_fits`.
+REPORT_CONFIGS = {
+    "low-detect": {
+        "seed": 3, "task": "detect", "regime": "low", "replications": 4, "n": [40],
+        "p_rule": "n/4", "s_rule": "2", "sigma": [1.0], "magnitude": [0.0, 2.0],
+        "alpha": 1.0, "calib_trials": 40,
+    },
+    "high-sparse": {
+        "seed": 5, "task": "estimate-q", "regime": "high", "replications": 2, "n": [30],
+        "p_rule": "2*n", "s_rule": "2", "sigma": [0.5, 1.0], "magnitude": [0.0, 4.0],
+        "alpha": 1.0,
+    },
+    "high-dense": {
+        "seed": 7, "task": "estimate-norm", "regime": "high", "replications": 2,
+        "n": [16, 24, 32], "p_rule": "n", "s_rule": "p", "sigma": [1.0], "magnitude": [1.0],
+    },
+}
+
+LOWER_BOUND_ARGS = {
+    "kappa": ["--p", "100", "--N", "400", "--s", "5", "--delta", "0.5", "--kappa", "1.0"],
+    "no-kappa": ["--p", "500", "--N", "1000", "--s", "30", "--delta", "0.1"],
+    "sigma": ["--p", "64", "--N", "50", "--s", "2", "--delta", "0.3", "--kappa", "0.2",
+              "--sigma", "2.0"],
+}
+
+THRESHOLD_SHAPES = [(2.0, 1.3, 3, 30, 200), (1.0, 1.0, 1, 400, 300), (0.7, 2.5, 40, 100, 90)]
+
+
+def _stdout_of(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == EXIT_OK, argv
+    return buf.getvalue()
+
+
+def _report_outputs(tmp_path):
+    """The bytes of every output the golden `reports.json` holds."""
+    out = {"simulate": {}, "rates": {}, "lower_bound": {}}
+    for name, config in REPORT_CONFIGS.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(config))
+        run_dir = tmp_path / name
+        _stdout_of("simulate", "--config", str(cfg_path), "--out-dir", str(run_dir))
+        out["simulate"][name] = {f: (run_dir / f).read_text()
+                                 for f in ("records.csv", "summary.json")}
+    records = str(tmp_path / "high-dense" / "records.csv")
+    for metric in ("mse_lambda", "mse_q", "mean_abs_err_q", "mean_abs_err_lambda"):
+        out["rates"][metric] = _stdout_of("rates", "--from", records, "--metric", metric)
+    for name, argv in LOWER_BOUND_ARGS.items():
+        out["lower_bound"][name] = _stdout_of("lower-bound", *argv)
+    out["detection_threshold"] = [detection_threshold(*shape).hex()
+                                  for shape in THRESHOLD_SHAPES]
+    return out
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +171,14 @@ def test_simulate_and_rates(tmp_path, capsys):
     assert np.isfinite(out["slope"]) and len(out["points"]) == 2
 
 
+def test_report_goldens(tmp_path):
+    """`simulate` files, `rates` and `lower-bound` stdout and detection
+    thresholds replay the recorded bytes exactly."""
+    got = _report_outputs(tmp_path)
+    assert "rate_fits" in got["simulate"]["high-dense"]["summary.json"]
+    assert got == REPORT_GOLDENS
+
+
 def test_lower_bound_matches_library(capsys):
     import signalnorm as sn
 
@@ -187,12 +259,19 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     code = main(["estimate", "--regime", "low", "--s", "1", "--input", str(path)])
     capsys.readouterr()
     assert code == EXIT_NUMERIC
+    # an all-zero design is singular too, and is reported as such
+    zero = tmp_path / "zero.csv"
+    zero.write_text("y,x1,x2\n" + "\n".join(f"{i},0,0" for i in range(12)) + "\n")
+    code = main(["estimate", "--regime", "low", "--s", "1", "--input", str(zero)])
+    assert code == EXIT_NUMERIC
+    assert "design is numerically singular" in capsys.readouterr().err
 
 
-def test_import_does_not_load_scipy_optimize(tmp_path):
+def test_import_does_not_load_scipy(tmp_path):
     """Every CLI process pays for what `import signalnorm.cli` loads: scipy.optimize
-    alone measured about 0.2 s and 24 MB there, and scipy.linalg 55 ms, so the
-    package must import neither."""
+    alone measured about 0.2 s and 24 MB there, scipy.linalg 55 ms and
+    scipy.special most of the rest, so the package imports no scipy module;
+    the lower bounds load scipy.special when they run."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -202,6 +281,5 @@ def test_import_does_not_load_scipy_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
-    assert "signalnorm.slope" in loaded
-    for heavy in ("optimize", "linalg"):
-        assert not [m for m in loaded if m.split(".")[:2] == ["scipy", heavy]], heavy
+    assert "signalnorm.slope" in loaded and "signalnorm.lower_bounds" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from signalnorm import ExperimentConfig, fit_rate, report, run_trials, summarize, theoretical_rate
+from signalnorm import ExperimentConfig, TrialRecord, fit_rate, report, run_trials, summarize
 from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
+from signalnorm.lower_bounds import rate_sq
 
 
 def tiny_config(**overrides):
@@ -136,23 +137,30 @@ class TestFitRate:
 
 
 class TestTheoreticalRate:
+    """The reference rates `summarize` reports, with N = 2n rows."""
+
+    @staticmethod
+    def _rates(p, N, s, sigma, kappa):
+        """(theoretical_phi, theoretical_q) of one grid point with n = N/2."""
+        rec = TrialRecord("x:0", 0, N // 2, p, s, sigma, kappa**2, kappa,
+                          q_hat=kappa**2, lambda_hat=kappa, err_q=0.0, err_lambda=0.0)
+        point = summarize([rec])["points"][0]
+        return point["theoretical_phi"], point["theoretical_q"]
+
     def test_norm_rate_and_fourth_root_equivalence(self):
-        value = theoretical_rate(100, 1000, 10, 1.0, 0.0, "phi")
+        assert rate_sq(10, 100, 1000) == pytest.approx(10 * np.log(2.0) / 1000, rel=1e-12)
+        value = self._rates(100, 1000, 10, 1.0, 0.0)[0]
         assert value == pytest.approx(np.sqrt(10 * np.log(2.0) / 1000), rel=1e-12)
         # at s = sqrt(p) the rate equals p^(1/4)/sqrt(N) times sqrt(log 2)
         assert value / (100**0.25 / np.sqrt(1000)) == pytest.approx(np.sqrt(np.log(2.0)))
 
     def test_norm_rate_sparse(self):
-        assert theoretical_rate(100, 1000, 2, 1.0, 0.0, "phi") == pytest.approx(
+        assert self._rates(100, 1000, 2, 1.0, 0.0)[0] == pytest.approx(
             np.sqrt(2 * np.log(6.0) / 1000), rel=1e-12
         )
 
     def test_q_rate_zero_kappa(self):
-        assert theoretical_rate(100, 1000, 5, 1.0, 0.0, "q") == 0.0
-
-    def test_unknown_selector(self):
-        with pytest.raises(ValueError):
-            theoretical_rate(10, 10, 1, 1.0, 1.0, "zeta")
+        assert self._rates(100, 1000, 5, 1.0, 0.0)[1] == 0.0
 
 
 class TestReport:

@@ -7,12 +7,11 @@ from signalnorm import (
     Dimensions,
     ModelSpec,
     RegressionSample,
+    component_estimates,
     debias,
     detect,
     detection_threshold,
     estimate_highdim,
-    q_dense,
-    q_sparse,
     sample_sparse_theta,
     sparse_threshold,
     split_sample,
@@ -79,7 +78,7 @@ class TestEstimateHighdim:
         tilde = debias(fit.theta_hat, X3, Y3)
         sigma_used = np.sqrt(2.0) * fit.sigma_hat
         tau = sparse_threshold(sigma_used, np.full(2, 1.0 / 3), alpha, 2, 1)
-        expected = q_sparse(fit.theta_hat, tilde, tau, X2, Y2)
+        expected = component_estimates(fit.theta_hat, X2, Y2)[np.abs(tilde) > tau].sum()
         assert est.q_hat == pytest.approx(expected, rel=1e-12)
         assert est.sigma_hat == pytest.approx(fit.sigma_hat, rel=1e-12)
 
@@ -102,7 +101,8 @@ class TestEstimateHighdim:
     def test_prelim_zero_matches_q_dense(self):
         sample = _sample(30, 9, seed=11)
         est = estimate_highdim(sample, s=2, prelim="zero")
-        assert est.q_hat == pytest.approx(q_dense(np.zeros(9), sample.X, sample.Y), rel=1e-12)
+        dense = component_estimates(np.zeros(9), sample.X, sample.Y).sum()
+        assert est.q_hat == pytest.approx(dense, rel=1e-12)
 
     def test_unknown_prelim(self):
         with pytest.raises(ValueError, match="prelim"):

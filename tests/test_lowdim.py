@@ -1,6 +1,7 @@
 """Tests for the OLS-based estimation and detection pipeline (n > p)."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,14 @@ class TestOlsFit:
         X = np.hstack([col, col])  # exactly collinear
         with pytest.raises(SingularDesignError):
             ols_fit(X, rng.standard_normal(10))
+
+    def test_all_zero_design_rejected(self):
+        """With sigma_max = 0 the ratio test alone would pass the design, and
+        the message must not divide 0 by 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDesignError, match="numerically singular"):
+                ols_fit(np.zeros((6, 2)), np.arange(6.0))
 
     def test_requires_more_rows_than_columns(self):
         with pytest.raises(ValueError, match="n > p"):

@@ -8,7 +8,6 @@ import pytest
 from signalnorm import (
     Dimensions,
     ModelSpec,
-    PriorSpec,
     RegressionSample,
     bayes_testing_risk_bound,
     chi2_cross,
@@ -17,7 +16,7 @@ from signalnorm import (
     hypergeometric_mgf_bound,
     minimax_testing_lower_radius,
     q_lower_bound,
-    sample_prior_theta,
+    sample_sparse_theta,
     synthesize,
     tau_from_rho,
 )
@@ -47,30 +46,30 @@ class TestTauFromRho:
 
 
 class TestPrior:
+    """The least-favorable prior, s values tau/sqrt(s) on a uniform size-s
+    support, as `sample_sparse_theta(p, s, tau)` draws it."""
+
     def test_full_support_constant_vector(self):
-        spec = PriorSpec(p=4, s=4, tau=2.0)
-        theta = sample_prior_theta(spec, np.random.default_rng(0))
+        theta = sample_sparse_theta(4, 4, 2.0, rng=np.random.default_rng(0))
         np.testing.assert_allclose(theta, np.ones(4))
 
     def test_norm_always_tau(self):
         rng = np.random.default_rng(1)
-        spec = PriorSpec(p=9, s=3, tau=0.7)
         for _ in range(100):
-            theta = sample_prior_theta(spec, rng)
+            theta = sample_sparse_theta(9, 3, 0.7, rng=rng)
             assert np.linalg.norm(theta) == pytest.approx(0.7)
             assert np.count_nonzero(theta) == 3
 
     def test_support_marginal(self):
         rng = np.random.default_rng(2)
-        spec = PriorSpec(p=5, s=2, tau=1.0)
-        hits = sum(sample_prior_theta(spec, rng)[0] != 0 for _ in range(10**5))
+        hits = sum(sample_sparse_theta(5, 2, 1.0, rng=rng)[0] != 0 for _ in range(10**5))
         assert abs(hits / 10**5 - 0.4) <= 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PriorSpec(p=3, s=4, tau=1.0)
+            sample_sparse_theta(3, 4, 1.0)
         with pytest.raises(ValueError):
-            PriorSpec(p=3, s=1, tau=-1.0)
+            sample_sparse_theta(3, 1, -1.0)
 
 
 class TestChi2Cross:
@@ -219,7 +218,7 @@ def test_no_test_beats_the_bayes_bound():
     )
     lr_type2 = 0
     for _ in range(trials):
-        theta = sample_prior_theta(PriorSpec(p=p, s=s, tau=tau), rng)
+        theta = sample_sparse_theta(p, s, tau, rng=rng)
         X = rng.standard_normal((N, p))
         Y = X @ theta + sigma_alt * rng.standard_normal(N)
         lr_type2 += mixture_lr(X, Y) <= 1.0
@@ -234,7 +233,7 @@ def test_no_test_beats_the_bayes_bound():
         det_type1 += int(est.lambda_hat >= detection_threshold(beta, est.sigma_hat, s, p, N))
     det_type2 = 0
     for _ in range(trials):
-        theta = sample_prior_theta(PriorSpec(p=p, s=s, tau=tau), rng)
+        theta = sample_sparse_theta(p, s, tau, rng=rng)
         X = rng.standard_normal((N, p))
         Y = X @ theta + sigma_alt * rng.standard_normal(N)
         est = estimate_lowdim(RegressionSample(X=X, Y=Y), s, alpha=1.0)

@@ -8,27 +8,28 @@ from signalnorm import (
     ModelSpec,
     RegressionSample,
     read_sample,
-    sample_design,
     sample_sparse_theta,
     split_sample,
     synthesize,
     write_sample,
 )
-from signalnorm.model import DESIGN_LAWS, NOISE_LAWS, sample_noise
+from signalnorm.model import DESIGN_LAWS, NOISE_LAWS
 
 
 class TestSampleDesign:
+    """The design `synthesize` draws from the spec's law."""
+
     def test_deterministic_given_seed(self):
         dims = Dimensions(N=2, p=3, s=1)
-        a = sample_design(dims, "standard-normal", np.random.default_rng(7))
-        b = sample_design(dims, "standard-normal", np.random.default_rng(7))
+        spec = ModelSpec(theta=np.zeros(3), sigma=1.0)
+        a = synthesize(spec, dims, seed=7).X
+        b = synthesize(spec, dims, seed=7).X
         assert a.shape == (2, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_unknown_law_rejected(self):
-        dims = Dimensions(N=2, p=3, s=1)
         with pytest.raises(ValueError, match="unknown design"):
-            sample_design(dims, "cauchy", np.random.default_rng(0))
+            ModelSpec(theta=np.zeros(3), sigma=1.0, design="cauchy")
 
     @pytest.mark.parametrize("law", sorted(DESIGN_LAWS))
     def test_design_laws_standardized(self, law):
@@ -53,7 +54,7 @@ class TestSynthesize:
         spec = ModelSpec(theta=np.zeros(3), sigma=1.0)
         sample = synthesize(spec, dims, seed=99)
         _, ss_noise = np.random.SeedSequence(99).spawn(2)
-        xi = sample_noise(5, "standard-normal", np.random.default_rng(ss_noise))
+        xi = NOISE_LAWS["standard-normal"](np.random.default_rng(ss_noise), 5)
         np.testing.assert_array_equal(sample.Y, xi)
 
     def test_vanishing_noise_scaling(self):
@@ -68,8 +69,8 @@ class TestSynthesize:
         spec = ModelSpec(theta=np.array([1.0, 0.0]), sigma=2.0)
         sample = synthesize(spec, dims, seed=1234)
         ss_design, ss_noise = np.random.SeedSequence(sample.seed).spawn(2)
-        X = sample_design(dims, "standard-normal", np.random.default_rng(ss_design))
-        xi = sample_noise(3, "standard-normal", np.random.default_rng(ss_noise))
+        X = DESIGN_LAWS["standard-normal"](np.random.default_rng(ss_design), (3, 2))
+        xi = NOISE_LAWS["standard-normal"](np.random.default_rng(ss_noise), 3)
         np.testing.assert_array_equal(sample.X, X)
         np.testing.assert_array_equal(sample.Y, X @ spec.theta + 2.0 * xi)
 

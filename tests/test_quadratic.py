@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from signalnorm import (
     component_estimates,
     debias,
-    norm_from_q,
-    q_dense,
-    q_sparse,
     sample_sparse_theta,
     sparse_threshold,
 )
+from signalnorm.quadratic import quadratic_stage
 
 
 def naive_components(prelim, X2, Y2):
@@ -29,6 +27,20 @@ def naive_components(prelim, X2, Y2):
                     cross += X2[k, j] * X2[l, j] * r[k] * r[l]
         a[j] = prelim[j] ** 2 + (2 * prelim[j] / n) * (X2[:, j] @ r) + cross / (n * (n - 1))
     return a
+
+
+def dense_q(prelim, X2, Y2):
+    """q_hat of the quadratic stage without a screening triple: the dense sum."""
+    est = quadratic_stage(prelim, 1.0, X2, Y2, 1, 1.0, None)
+    assert est.branch == "dense"
+    return est.q_hat
+
+
+def sparse_q(prelim, bar_theta, diag, alpha, X2, Y2, s=1):
+    """q_hat of the quadratic stage on its sparse branch, with noise scale 1."""
+    est = quadratic_stage(prelim, 1.0, X2, Y2, s, alpha, (bar_theta, 1.0, diag))
+    assert est.branch == "sparse"
+    return est.q_hat
 
 
 class TestComponentEstimates:
@@ -103,10 +115,10 @@ class TestQDense:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((10, 5))
         theta = rng.standard_normal(5)
-        assert q_dense(theta, X, X @ theta) == pytest.approx(theta @ theta, rel=1e-12)
+        assert dense_q(theta, X, X @ theta) == pytest.approx(theta @ theta, rel=1e-12)
 
     def test_single_coordinate_hand_value(self):
-        assert q_dense(np.zeros(1), np.array([[1.0], [1.0]]), np.array([2.0, 3.0])) == pytest.approx(6.0)
+        assert dense_q(np.zeros(1), np.array([[1.0], [1.0]]), np.array([2.0, 3.0])) == pytest.approx(6.0)
 
     @pytest.mark.parametrize("c", [-2.0, 0.5, 3.0])
     def test_joint_quadratic_scaling(self, c):
@@ -115,8 +127,8 @@ class TestQDense:
         X = rng.standard_normal((7, 3))
         Y = rng.standard_normal(7)
         prelim = rng.standard_normal(3)
-        base = q_dense(prelim, X, Y)
-        scaled = q_dense(c * prelim, X, c * Y)
+        base = dense_q(prelim, X, Y)
+        scaled = dense_q(c * prelim, X, c * Y)
         assert scaled == pytest.approx(c**2 * base, rel=1e-12)
 
 
@@ -128,26 +140,25 @@ class TestQSparse:
 
     def test_huge_alpha_kills_everything(self):
         X2, Y2 = self._toy()
-        tau = sparse_threshold(1.0, np.ones(2), 1e6, 2, 1)
-        out = q_sparse(np.zeros(2), np.array([5.0, 5.0]), tau, X2, Y2)
+        out = sparse_q(np.zeros(2), np.array([5.0, 5.0]), np.ones(2), 1e6, X2, Y2)
         assert out == 0.0
 
     def test_zero_alpha_equals_dense(self):
+        """A zero threshold (here from a zero threshold diagonal, since the stage
+        requires alpha > 0) keeps every coordinate."""
         X2, Y2 = self._toy()
         rng = np.random.default_rng(8)
         prelim = rng.standard_normal(2)
         bar = rng.standard_normal(2)  # almost surely nonzero
-        tau = sparse_threshold(1.0, np.ones(2), 0.0, 2, 1)
-        assert q_sparse(prelim, bar, tau, X2, Y2) == pytest.approx(
-            q_dense(prelim, X2, Y2), rel=1e-12
+        assert sparse_q(prelim, bar, np.zeros(2), 1.0, X2, Y2) == pytest.approx(
+            dense_q(prelim, X2, Y2), rel=1e-12
         )
 
     def test_hand_selection(self):
         """p=2, s=1, threshold sqrt(log 3): only the first coordinate survives."""
         X2, Y2 = self._toy()
         a = naive_components(np.zeros(2), X2, Y2)
-        tau = sparse_threshold(1.0, np.ones(2), 1.0, 2, 1)
-        out = q_sparse(np.zeros(2), np.array([5.0, 0.001]), tau, X2, Y2)
+        out = sparse_q(np.zeros(2), np.array([5.0, 0.001]), np.ones(2), 1.0, X2, Y2)
         assert out == pytest.approx(a[0], rel=1e-12)
         # and the second coordinate is genuinely below sqrt(log 3) ~ 1.0481
         assert abs(0.001) < np.sqrt(np.log(3.0))
@@ -156,9 +167,14 @@ class TestQSparse:
         """Equality with the threshold does not select the coordinate."""
         X2, Y2 = self._toy()
         tau = np.sqrt(np.log1p(2.0))  # alpha=1, sigma=1, diagonal 1, s=1
-        given = sparse_threshold(1.0, np.ones(2), 1.0, 2, 1)
-        out = q_sparse(np.zeros(2), np.array([tau, 0.0]), given, X2, Y2)
+        assert sparse_threshold(1.0, np.ones(2), 1.0, 2, 1)[0] == tau
+        out = sparse_q(np.zeros(2), np.array([tau, 0.0]), np.ones(2), 1.0, X2, Y2)
         assert out == 0.0
+
+    def test_screening_length_checked(self):
+        X2, Y2 = self._toy()
+        with pytest.raises(ValueError, match="bar_theta length"):
+            sparse_q(np.zeros(2), np.ones(1), np.ones(2), 1.0, X2, Y2)
 
     def test_threshold_scale_checked(self):
         for args, match in (((1.0, np.ones(2), -1.0, 2, 1), "alpha"),
@@ -180,10 +196,15 @@ class TestQSparse:
 
 
 class TestNormFromQ:
+    def _lambda_of(self, y):
+        """lambda_hat of the dense stage on X = (1, 1)^T, prelim 0: q_hat = y1 y2."""
+        est = quadratic_stage(np.zeros(1), 1.0, np.ones((2, 1)), np.array(y), 1, 1.0, None)
+        return est.q_hat, est.lambda_hat
+
     def test_values(self):
-        assert norm_from_q(4.0) == 2.0
-        assert norm_from_q(-9.0) == 3.0  # absolute value inside the root
-        assert norm_from_q(0.0) == 0.0
+        assert self._lambda_of([2.0, 2.0]) == (4.0, 2.0)
+        assert self._lambda_of([3.0, -3.0]) == (-9.0, 3.0)  # absolute value inside the root
+        assert self._lambda_of([0.0, 5.0]) == (0.0, 0.0)
 
 
 def test_dense_monte_carlo_mean_unbiased():
@@ -196,6 +217,6 @@ def test_dense_monte_carlo_mean_unbiased():
     for i in range(reps):
         X = rng.standard_normal((n, p))
         Y = X @ theta + rng.standard_normal(n)
-        vals[i] = q_dense(prelim, X, Y)
+        vals[i] = dense_q(prelim, X, Y)
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - theta @ theta) <= 4 * se
