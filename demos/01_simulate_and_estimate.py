@@ -6,6 +6,9 @@ the wide regime, then run the split-sample pipeline on each with the
 matching preliminary stage.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 import signalnorm as sn
@@ -36,8 +39,10 @@ print(f"  branch = {est_high.branch}, parts = {est_high.parts}, "
 print(f"  squared-norm estimate = {est_high.q_hat:.4f}  (truth {theta_wide @ theta_wide:.4f})")
 print(f"  norm estimate         = {est_high.lambda_hat:.4f}  (truth 2.0)")
 
-# Samples round-trip through CSV with a ground-truth sidecar.
-path = sn.write_sample(tall, "/tmp/signalnorm_demo_sample.csv")
-back = sn.read_sample(path)
-print(f"\nwrote {path} and sidecar; round-trip exact: "
-      f"{np.array_equal(back.X, tall.X) and np.array_equal(back.Y, tall.Y)}")
+# Samples round-trip through CSV; the ground truth goes to a sidecar.  Both
+# files live in a temporary directory, removed once the sample is read back.
+with tempfile.TemporaryDirectory(prefix="signalnorm_demo_") as out_dir:
+    path = sn.write_sample(tall, Path(out_dir) / "sample.csv")
+    back = sn.read_sample(path)
+    print(f"\nwrote {path.name} and {path.name}.truth.json; round-trip exact: "
+          f"{np.array_equal(back.X, tall.X) and np.array_equal(back.Y, tall.Y)}")

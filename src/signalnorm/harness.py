@@ -39,22 +39,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = [
-    "config_id",
-    "seed",
-    "n",
-    "p",
-    "s",
-    "sigma",
-    "true_q",
-    "q_hat",
-    "lambda_hat",
-    "decision",
-    "err_q",
-    "err_lambda",
-    "error",
-]
-
 _RULE_FUNCS = {
     "sqrt": math.sqrt,
     "floor": math.floor,
@@ -257,6 +241,11 @@ class TrialRecord:
     err_q: float | None = None
     err_lambda: float | None = None
     error: str | None = None
+
+
+# The records.csv columns: every TrialRecord field but true_lambda, which is
+# sqrt(true_q).
+CSV_COLUMNS = [f.name for f in fields(TrialRecord) if f.name != "true_lambda"]
 
 
 @dataclass

@@ -42,7 +42,7 @@ def estimate_highdim(
     if prelim == "zero":
         return quadratic_stage(
             np.zeros(p), None, sample.X, sample.Y, s, alpha, None,
-            regime="high", n_per_split=sample.N, parts=1, split_tags={"quadratic": 0},
+            regime="high", n_per_split=sample.N, parts=1,
         )
     if prelim != "srs":
         raise ValueError(f"unknown preliminary {prelim!r}; expected 'srs' or 'zero'")
@@ -53,7 +53,6 @@ def estimate_highdim(
     n = X1.shape[0]
     fit = sqrt_slope_fit(X1, Y1, c1=c1)
     screening = None
-    tags = {"prelim": 0, "quadratic": 1}
     if parts == 3:
         X3, Y3 = blocks[2]
         # Selection threshold alpha * sqrt(2) sigma_hat * sqrt(log(1 + p/s^2) / n):
@@ -63,8 +62,7 @@ def estimate_highdim(
         if scale <= 0:
             scale = np.finfo(float).tiny  # interpolation: threshold collapses to 0
         screening = (debias(fit.theta_hat, X3, Y3), scale, np.full(p, 1.0 / n))
-        tags["debias"] = 2
     return quadratic_stage(
         fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
-        regime="high", n_per_split=n, parts=parts, split_tags=tags,
+        regime="high", n_per_split=n, parts=parts,
     )

@@ -91,5 +91,4 @@ def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> Fun
     return quadratic_stage(
         fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
         regime="low", n_per_split=X1.shape[0], parts=2,
-        split_tags={"prelim": 0, "quadratic": 1},
     )

@@ -9,8 +9,8 @@ estimators built on top of this module.
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,9 +91,10 @@ class Dimensions:
             raise ValueError(f"s must satisfy 1 <= s <= p, got s={self.s}, p={self.p}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """Ground-truth parameters and the standardized entry laws for X and xi."""
+    """Ground-truth parameters and the standardized entry laws for X and xi;
+    frozen, so the laws stay the ones checked here."""
 
     theta: np.ndarray
     sigma: float
@@ -101,7 +102,7 @@ class ModelSpec:
     noise: str = "standard-normal"
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
+        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         if self.theta.ndim != 1:
             raise ValueError("theta must be a 1-d vector")
         if self.sigma <= 0:
@@ -220,49 +221,37 @@ def split_sample(sample: RegressionSample, parts: int) -> list[tuple[np.ndarray,
 
 
 def write_sample(sample: RegressionSample, path: str | Path) -> Path:
-    """Write a sample as CSV with header ``y,x1,...,xp``.
+    """Write a sample as CSV with header ``y,x1,...,xp`` and ``\\r\\n`` line ends,
+    each value as its shortest round-trip ``repr``.
 
     When ground truth is attached, a sidecar ``<path>.truth.json`` records
     ``{"theta": [...], "sigma": ..., "seed": ...}``.
     """
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(sample.p)])
-        for i in range(sample.N):
-            writer.writerow([repr(float(sample.Y[i]))] + [repr(float(v)) for v in sample.X[i]])
+        fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(sample.p)]) + "\r\n")
+        for y, x in zip(sample.Y.tolist(), sample.X):  # one row at a time keeps memory flat
+            fh.write(",".join(map(repr, [y] + x.tolist())) + "\r\n")
     if sample.theta is not None:
-        sidecar = path.with_suffix(path.suffix + ".truth.json")
-        with open(sidecar, "w") as fh:
-            json.dump(
-                {
-                    "theta": list(sample.theta),
-                    "sigma": sample.sigma,
-                    "seed": sample.seed,
-                },
-                fh,
-            )
+        truth = {"theta": list(sample.theta), "sigma": sample.sigma, "seed": sample.seed}
+        path.with_suffix(path.suffix + ".truth.json").write_text(json.dumps(truth))
     return path
 
 
 def read_sample(path: str | Path) -> RegressionSample:
-    """Read a CSV sample written by :func:`write_sample`, truth sidecar included."""
+    """Read the (X, Y) of a CSV sample written by :func:`write_sample`.
+
+    The truth sidecar is not read: the sample carries no ground truth.  A
+    missing ``y`` header, no data rows, and malformed or ragged rows raise
+    ``ValueError``.
+    """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "y":
+    with open(path) as fh:
+        if fh.readline().split(",")[0].rstrip("\r\n") != "y":
             raise ValueError(f"{path}: expected header starting with 'y'")
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
-    theta = sigma = seed = None
-    sidecar = path.with_suffix(path.suffix + ".truth.json")
-    if sidecar.exists():
-        with open(sidecar) as fh:
-            truth = json.load(fh)
-        theta = np.asarray(truth["theta"], dtype=float)
-        sigma = truth["sigma"]
-        seed = truth.get("seed")
-    return RegressionSample(X=data[:, 1:], Y=data[:, 0], theta=theta, sigma=sigma, seed=seed)
+    return RegressionSample(X=data[:, 1:], Y=data[:, 0])

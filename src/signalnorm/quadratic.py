@@ -9,7 +9,7 @@ estimate clears a noise-calibrated threshold gives the sparse one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +26,13 @@ __all__ = [
 
 @dataclass
 class FunctionalEstimate:
-    """An estimate of the squared norm and the norm, with branch metadata."""
+    """An estimate of the squared norm and the norm, with branch metadata.
+
+    The sample's first ``parts * n_per_split`` rows were used in blocks of
+    ``n_per_split``: block 0 alone feeds the quadratic stage when ``parts`` is
+    1; with 2, block 0 the preliminary fit and block 1 the quadratic stage;
+    with 3, block 2 also feeds the debiased screening vector.
+    """
 
     q_hat: float
     lambda_hat: float
@@ -36,7 +42,6 @@ class FunctionalEstimate:
     n_per_split: int | None = None
     parts: int | None = None
     threshold: float | None = None  # largest per-coordinate selection threshold
-    split_tags: dict = field(default_factory=dict)
 
     @property
     def n_used(self) -> int:
@@ -44,8 +49,8 @@ class FunctionalEstimate:
         return self.parts * self.n_per_split
 
     def to_dict(self) -> dict:
-        """Every field but the split provenance, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "split_tags"}
+        """Every field, in field order."""
+        return asdict(self)
 
 
 def component_estimates(
@@ -147,7 +152,7 @@ def quadratic_stage(
     screening vector, the noise scale of the threshold and its length-p
     diagonal; without a screening triple (no preliminary fit) the estimate is
     dense.  `provenance` holds the remaining :class:`FunctionalEstimate` fields
-    (regime, n_per_split, parts, split_tags).
+    (regime, n_per_split, parts).
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

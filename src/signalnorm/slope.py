@@ -19,7 +19,7 @@ since every later entry comes out as exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class SlopeFit:
     iterations: int
     converged: bool
     sigma_hat: float
-    trace: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -161,7 +160,6 @@ def sqrt_slope_fit(
     norm_y = float(np.linalg.norm(Y1))
     x = np.zeros(p)
     obj = norm_y  # objective at zero
-    trace = [obj]
     step = n / max(float((X1**2).sum()), np.finfo(float).tiny)
     converged = False
     iterations = 0
@@ -197,7 +195,6 @@ def sqrt_slope_fit(
         decrease = obj - new_obj
         x, r = accepted, r_cand
         obj = min(obj, new_obj)
-        trace.append(obj)
         if 0 <= decrease < tol * max(abs(obj), 1e-30):
             converged = True
             break
@@ -209,5 +206,4 @@ def sqrt_slope_fit(
         iterations=iterations,
         converged=converged,
         sigma_hat=resid / np.sqrt(n),
-        trace=np.asarray(trace),
     )

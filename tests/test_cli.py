@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,11 @@ from signalnorm.pipeline import detection_threshold
 # thresholds, recorded before the rate and the report helpers were folded;
 # any change to the bytes of a report shows here.
 REPORT_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "reports.json").read_text())
+
+# `gen` arguments for a wide, a tall and a small sample, with the sha256 of the
+# CSV and truth sidecar each wrote, and the small pair in full; recorded before
+# the CSV writer moved off the csv module.
+GEN_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "gen.json").read_text())
 
 # Three small `simulate` configs: low-regime detection with a calibrated beta,
 # the high regime's sparse branch over 2 noise levels x 2 magnitudes, and its
@@ -104,6 +110,18 @@ def test_gen_writes_csv_and_sidecar(tmp_path, capsys):
     assert header == "y,x1,x2,x3"
     truth = json.loads(path.with_suffix(".csv.truth.json").read_text())
     assert truth["seed"] == 3 and len(truth["theta"]) == 3
+
+
+def test_gen_goldens(tmp_path, capsys):
+    """`gen` writes the recorded CSV and sidecar bytes, CRLF line ends included."""
+    for name, argv in GEN_GOLDENS["args"].items():
+        path = tmp_path / f"{name}.csv"
+        code, _ = run_cli(capsys, "gen", *argv, "--out", str(path))
+        assert code == EXIT_OK
+        files = {"csv": path.read_bytes(), "truth": (tmp_path / f"{name}.csv.truth.json").read_bytes()}
+        assert {k: hashlib.sha256(v).hexdigest() for k, v in files.items()} == \
+            GEN_GOLDENS["sha256"][name], name
+    assert {k: v.decode() for k, v in files.items()} == GEN_GOLDENS["small"]
 
 
 def test_estimate_low(sample_csv, capsys):
@@ -245,6 +263,14 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for regime in ("low", "high"):
         code = main(["estimate", "--regime", regime, "--s", "1", "--input", str(nan_csv)])
         assert code == EXIT_CONFIG and "finite" in capsys.readouterr().err
+    # an empty sample file, rather than a StopIteration traceback
+    empty_csv = tmp_path / "empty.csv"
+    empty_csv.write_text("")
+    for command, regime in (("estimate", "low"), ("estimate", "high"), ("detect", "low"),
+                            ("detect", "high")):
+        code = main([command, "--regime", regime, "--s", "1", "--input", str(empty_csv)])
+        assert code == EXIT_CONFIG and "configuration error" in capsys.readouterr().err, \
+            (command, regime)
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

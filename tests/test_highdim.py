@@ -58,10 +58,12 @@ class TestEstimateHighdim:
         assert est.threshold == pytest.approx(expected, rel=1e-15)
 
     def test_split_provenance_disjoint(self):
+        """The sparse branch adds a third, disjoint block for the debiased
+        screening vector; the dense branch uses two."""
         sparse = estimate_highdim(_sample(90, 64, seed=5), s=4)
-        assert sparse.split_tags == {"prelim": 0, "quadratic": 1, "debias": 2}
+        assert (sparse.branch, sparse.parts, sparse.n_per_split) == ("sparse", 3, 30)
         dense = estimate_highdim(_sample(40, 16, seed=6), s=10)
-        assert dense.split_tags == {"prelim": 0, "quadratic": 1}
+        assert (dense.branch, dense.parts, dense.n_per_split) == ("dense", 2, 20)
 
     def test_pipeline_replay_small(self):
         """N=9, p=2, s=1: matches a scripted re-execution of the three splits."""

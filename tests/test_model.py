@@ -1,7 +1,12 @@
 """Tests for synthetic data generation, sparse signals, and sample splitting."""
 
+import json
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalnorm import (
     Dimensions,
@@ -14,6 +19,13 @@ from signalnorm import (
     write_sample,
 )
 from signalnorm.model import DESIGN_LAWS, NOISE_LAWS
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# Floats whose text form is easy to get wrong: signed zero, the smallest and
+# largest subnormals, the smallest normal and the largest finite magnitude.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
 
 
 class TestSampleDesign:
@@ -93,8 +105,21 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             ModelSpec(theta=np.zeros(3), sigma=1.0, noise="levy")
 
+    def test_spec_frozen(self):
+        """A checked spec cannot be given an unchecked law afterwards."""
+        spec = ModelSpec(theta=[0.0, 1.0], sigma=1.0)
+        assert isinstance(spec.theta, np.ndarray)
+        for name, value in (("design", "cauchy"), ("noise", "levy"), ("sigma", -1.0),
+                            ("theta", np.zeros(5))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, name, value)
+        assert spec.design == "standard-normal" and spec.sigma == 1.0
+
 
 class TestSparseTheta:
+    """s values magnitude/sqrt(s) on a uniform size-s support; with the "equal"
+    pattern and magnitude tau, also the least-favorable prior of the lower bounds."""
+
     def test_full_support_equal_pattern(self):
         theta = sample_sparse_theta(4, 4, 2.0, rng=np.random.default_rng(0))
         np.testing.assert_allclose(theta, np.ones(4))
@@ -128,6 +153,8 @@ class TestSparseTheta:
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError):
             sample_sparse_theta(3, 4, 1.0, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="magnitude"):
+            sample_sparse_theta(3, 1, -1.0, rng=np.random.default_rng(0))
 
 
 class TestSplitSample:
@@ -173,13 +200,45 @@ class TestCsvRoundTrip:
         back = read_sample(path)
         np.testing.assert_array_equal(back.X, sample.X)
         np.testing.assert_array_equal(back.Y, sample.Y)
-        np.testing.assert_array_equal(back.theta, sample.theta)
-        assert back.sigma == sample.sigma and back.seed == 11
+        # the truth goes to the sidecar, which read_sample does not read
+        assert back.theta is None and back.sigma is None and back.seed is None
+        truth = json.loads((tmp_path / "sample.csv.truth.json").read_text())
+        assert truth == {"theta": theta.tolist(), "sigma": 0.7, "seed": 11}
+
+    def test_no_sidecar_without_truth(self, tmp_path):
+        write_sample(RegressionSample(X=np.eye(2), Y=np.ones(2)), tmp_path / "s.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+    @PROPERTY
+    @given(data=st.data(), N=st.integers(1, 6), p=st.integers(1, 8))
+    def test_round_trip_bit_exact(self, tmp_path_factory, data, N, p):
+        """Every finite float comes back with the same bits: subnormals, -0.0
+        and the largest magnitudes included."""
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EDGE_FLOATS))
+        X = np.array(data.draw(st.lists(values, min_size=N * p, max_size=N * p))).reshape(N, p)
+        Y = np.array(data.draw(st.lists(values, min_size=N, max_size=N)))
+        path = write_sample(RegressionSample(X=X, Y=Y), tmp_path_factory.mktemp("csv") / "s.csv")
+        back = read_sample(path)
+        assert back.X.shape == (N, p) and back.Y.shape == (N,)
+        assert back.X.tobytes() == X.tobytes() and back.Y.tobytes() == Y.tobytes()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            read_sample(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "header"),
+        ("y,x1\r\n", "no data rows"),
+        ("y,x1\n1,2\n3\n", "columns"),
+        ("y,x1\n1,abc\n", "abc"),
+    ], ids=["empty", "header-only", "ragged", "not-a-number"])
+    def test_malformed_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
             read_sample(path)
 
 
