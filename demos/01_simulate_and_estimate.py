@@ -39,10 +39,10 @@ print(f"  branch = {est_high.branch}, parts = {est_high.parts}, "
 print(f"  squared-norm estimate = {est_high.q_hat:.4f}  (truth {theta_wide @ theta_wide:.4f})")
 print(f"  norm estimate         = {est_high.lambda_hat:.4f}  (truth 2.0)")
 
-# Samples round-trip through CSV; the ground truth goes to a sidecar.  Both
-# files live in a temporary directory, removed once the sample is read back.
+# Samples round-trip through CSV, which holds (X, Y) only; the file lives in a
+# temporary directory, removed once the sample is read back.
 with tempfile.TemporaryDirectory(prefix="signalnorm_demo_") as out_dir:
     path = sn.write_sample(tall, Path(out_dir) / "sample.csv")
     back = sn.read_sample(path)
-    print(f"\nwrote {path.name} and {path.name}.truth.json; round-trip exact: "
+    print(f"\nwrote {path.name}; round-trip exact: "
           f"{np.array_equal(back.X, tall.X) and np.array_equal(back.Y, tall.Y)}")

@@ -7,7 +7,8 @@ null with unit noise and taking the upper-delta quantile of
 
     T = lambda_hat / (sigma_hat * sqrt(s log(1 + sqrt(p)/s) / N)).
 
-Results are cached in-process keyed by the full configuration.
+:func:`calibrate_beta` is a pure function of its arguments; a caller that
+needs one beta many times keeps it (see :func:`signalnorm.harness.run_trials`).
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from . import pipeline
 from .model import Dimensions, ModelSpec, synthesize
 from .quadratic import FunctionalEstimate
 
-__all__ = ["calibrate_beta", "clear_cache", "statistic"]
-
-_CACHE: dict = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
+__all__ = ["calibrate_beta", "statistic"]
 
 
 def statistic(est: FunctionalEstimate, s: int, p: int) -> float:
@@ -71,13 +66,9 @@ def calibrate_beta(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    key = (p, N, s, round(delta, 12), regime, round(alpha, 12), round(c1, 12), trials, seed)
-    if key in _CACHE:
-        return _CACHE[key]
     stats = _null_statistics(p, N, s, regime, alpha, c1, trials, seed)
     beta = float(np.quantile(stats, 1.0 - delta, method="higher"))
     if beta <= 0:
         positive = stats[stats > 0]
         beta = float(positive.min() / 2.0) if positive.size else 1.0
-    _CACHE[key] = beta
     return beta

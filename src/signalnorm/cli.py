@@ -100,6 +100,8 @@ def _cmd_gen(args) -> int:
     spec = ModelSpec(theta=theta, sigma=args.sigma, design=args.design, noise=args.noise)
     sample = synthesize(spec, Dimensions(N=args.N, p=args.p, s=args.s), args.seed)
     path = write_sample(sample, args.out)
+    truth = {"theta": spec.theta.tolist(), "sigma": spec.sigma, "seed": args.seed}
+    path.with_suffix(path.suffix + ".truth.json").write_text(json.dumps(truth))
     print(json.dumps({"written": str(path), "N": sample.N, "p": sample.p}))
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lower_bounds, pipeline
+from . import calibration, lower_bounds, pipeline
 from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
 from .quadratic import split_parts
 
@@ -225,7 +225,9 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One Monte Carlo replication, with errors recomputable from its fields."""
+    """One Monte Carlo replication: one ``records.csv`` row, with errors
+    recomputable from its fields.  A record without an error tag holds all
+    four estimates (`q_hat`, `lambda_hat`, `err_q`, `err_lambda`)."""
 
     config_id: str
     seed: int
@@ -234,7 +236,6 @@ class TrialRecord:
     s: int
     sigma: float
     true_q: float
-    true_lambda: float
     q_hat: float | None = None
     lambda_hat: float | None = None
     decision: int | None = None
@@ -242,10 +243,19 @@ class TrialRecord:
     err_lambda: float | None = None
     error: str | None = None
 
+    @property
+    def true_lambda(self) -> float:
+        return float(np.sqrt(self.true_q))
 
-# The records.csv columns: every TrialRecord field but true_lambda, which is
-# sqrt(true_q).
-CSV_COLUMNS = [f.name for f in fields(TrialRecord) if f.name != "true_lambda"]
+
+CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
+
+# How read_records parses each column, by its TrialRecord annotation: the
+# type, and whether an empty cell reads as None ("... | None").
+_COLUMN_TYPES = {
+    f.name: ({"str": str, "int": int, "float": float}[f.type.split(" ")[0]], "None" in f.type)
+    for f in fields(TrialRecord)
+}
 
 
 @dataclass
@@ -269,8 +279,12 @@ def _trial_seed(config_seed: int, point_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_single_trial(config: ExperimentConfig, point: dict, trial_seed: int) -> TrialRecord:
-    """Execute one replication at one grid point; exceptions become error tags."""
+def run_single_trial(
+    config: ExperimentConfig, point: dict, trial_seed: int, betas: dict
+) -> TrialRecord:
+    """Execute one replication at one grid point; exceptions become error tags.
+    A detect task without a configured beta takes it from `betas`, the betas
+    by n that the caller keeps across trials, or calibrates it into them."""
     n, p, s = point["n"], point["p"], point["s"]
     sigma, magnitude = point["sigma"], point["magnitude"]
     ss = np.random.SeedSequence(trial_seed)
@@ -278,17 +292,8 @@ def run_single_trial(config: ExperimentConfig, point: dict, trial_seed: int) -> 
     theta = sample_sparse_theta(
         p, s, magnitude, pattern=config.pattern, rng=np.random.default_rng(ss_theta)
     )
-    true_q = float(theta @ theta)
-    record = TrialRecord(
-        config_id=point["config_id"],
-        seed=trial_seed,
-        n=n,
-        p=p,
-        s=s,
-        sigma=sigma,
-        true_q=true_q,
-        true_lambda=float(np.sqrt(true_q)),
-    )
+    record = TrialRecord(config_id=point["config_id"], seed=trial_seed, n=n, p=p, s=s,
+                         sigma=sigma, true_q=float(theta @ theta))
     regime = _pick_regime(config.regime, n, p)
     try:
         spec = ModelSpec(theta=theta, sigma=sigma, design=config.design, noise=config.noise)
@@ -300,10 +305,13 @@ def run_single_trial(config: ExperimentConfig, point: dict, trial_seed: int) -> 
         record.err_q = est.q_hat - record.true_q
         record.err_lambda = est.lambda_hat - record.true_lambda
         if config.task == "detect":
-            record.decision = pipeline.decide(
-                est, s, p, config.alpha, config.beta, config.c1, config.delta,
-                config.calib_trials, config.seed,
-            )[0]
+            beta = config.beta if config.beta is not None else betas.get(n)
+            if beta is None:
+                beta = betas[n] = calibration.calibrate_beta(
+                    p=p, N=est.n_used, s=s, delta=config.delta, regime=regime, alpha=config.alpha,
+                    c1=config.c1, trials=config.calib_trials, seed=config.seed,
+                )
+            record.decision = pipeline.decide(est, s, p, beta)[0]
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     return record
@@ -313,13 +321,16 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """All replications over the whole grid, deterministically seeded.
 
     Trial seeds depend only on (config seed, grid index, replication index),
-    so any execution order yields the same multiset of records.
+    so any execution order yields the same multiset of records.  A detect
+    task calibrates beta once per n, on the first trial whose estimate
+    succeeds; p, s, the rows used and the regime are functions of n.
     """
+    betas: dict = {}  # only successful calibrations: a failing one tags each trial
     records = []
     for point in config.grid_points():
         for rep in range(config.replications):
             seed = _trial_seed(config.seed, point["index"], rep)
-            records.append(run_single_trial(config, point, seed))
+            records.append(run_single_trial(config, point, seed, betas))
     return records
 
 
@@ -343,10 +354,6 @@ def fit_rate(points) -> RateFit:
         r_squared=r_squared,
         points=list(zip(logx.tolist(), logy.tolist())),
     )
-
-
-def _clean(values) -> np.ndarray:
-    return np.asarray([v for v in values if v is not None], dtype=float)
 
 
 def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
@@ -378,12 +385,12 @@ def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
             "errors": len(group) - len(ok),
         }
         if ok:
-            err_q = _clean([r.err_q for r in ok])
-            err_l = _clean([r.err_lambda for r in ok])
+            err_q = np.array([r.err_q for r in ok])
+            err_l = np.array([r.err_lambda for r in ok])
             entry.update(
                 {
-                    "mean_q_hat": float(np.mean(_clean([r.q_hat for r in ok]))),
-                    "mean_lambda_hat": float(np.mean(_clean([r.lambda_hat for r in ok]))),
+                    "mean_q_hat": float(np.mean([r.q_hat for r in ok])),
+                    "mean_lambda_hat": float(np.mean([r.lambda_hat for r in ok])),
                     "mse_q": float(np.mean(err_q**2)),
                     "mse_lambda": float(np.mean(err_l**2)),
                     "median_abs_err_q": float(np.median(np.abs(err_q))),
@@ -478,7 +485,9 @@ def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float =
 
 
 def read_records(path: str | Path) -> list[TrialRecord]:
-    """Read back a ``records.csv`` written by :func:`report`."""
+    """Read back a ``records.csv`` written by :func:`report`.  A row not as wide
+    as the header, a cell that does not parse, and a row without an error tag
+    that misses an estimate raise ``ValueError``."""
     import csv as _csv
 
     records = []
@@ -488,22 +497,13 @@ def read_records(path: str | Path) -> list[TrialRecord]:
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
-            records.append(
-                TrialRecord(
-                    config_id=row["config_id"],
-                    seed=int(row["seed"]),
-                    n=int(row["n"]),
-                    p=int(row["p"]),
-                    s=int(row["s"]),
-                    sigma=float(row["sigma"]),
-                    true_q=float(row["true_q"]),
-                    true_lambda=float(np.sqrt(float(row["true_q"]))),
-                    q_hat=float(row["q_hat"]) if row["q_hat"] else None,
-                    lambda_hat=float(row["lambda_hat"]) if row["lambda_hat"] else None,
-                    decision=int(row["decision"]) if row["decision"] else None,
-                    err_q=float(row["err_q"]) if row["err_q"] else None,
-                    err_lambda=float(row["err_lambda"]) if row["err_lambda"] else None,
-                    error=row["error"] or None,
+            if None in row or None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} is not as wide as the header")
+            rec = TrialRecord(**{name: None if optional and not row[name] else kind(row[name])
+                                 for name, (kind, optional) in _COLUMN_TYPES.items()})
+            if rec.error is None and None in (rec.q_hat, rec.lambda_hat, rec.err_q, rec.err_lambda):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has no error tag but misses an estimate"
                 )
-            )
+            records.append(rec)
     return records

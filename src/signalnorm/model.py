@@ -2,14 +2,13 @@
 
 Entries of the design matrix X and of the noise vector xi are drawn i.i.d.
 from standardized laws (mean 0, variance 1), all N(p+1) variables jointly
-independent.  Samples are reproducible from a stored integer seed, and can
+independent.  Samples are reproducible from an integer seed, and can
 be partitioned into 2 or 3 equal-size row blocks for the split-sample
 estimators built on top of this module.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,13 +114,10 @@ class ModelSpec:
 
 @dataclass
 class RegressionSample:
-    """Observed pair (X, Y), with optional ground truth for simulation audits."""
+    """The observed pair (X, Y); the truth that generated it is the caller's."""
 
     X: np.ndarray
     Y: np.ndarray
-    theta: np.ndarray | None = None
-    sigma: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -144,12 +140,6 @@ class RegressionSample:
         return self.X.shape[1]
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
-
-
 def synthesize(spec: ModelSpec, dims: Dimensions, seed: int) -> RegressionSample:
     """Generate a sample from Y = X theta + sigma xi, reproducible from `seed`.
 
@@ -162,13 +152,13 @@ def synthesize(spec: ModelSpec, dims: Dimensions, seed: int) -> RegressionSample
         raise ValueError(
             f"dimension mismatch: theta has length {spec.theta.shape[0]}, p={dims.p}"
         )
-    ss = _seed_sequence(seed)
-    ss_design, ss_noise = ss.spawn(2)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    ss_design, ss_noise = seed.spawn(2)
     X = DESIGN_LAWS[spec.design](np.random.default_rng(ss_design), (dims.N, dims.p))
     xi = NOISE_LAWS[spec.noise](np.random.default_rng(ss_noise), dims.N)
     Y = X @ spec.theta + spec.sigma * xi
-    stored_seed = int(seed) if not isinstance(seed, np.random.SeedSequence) else None
-    return RegressionSample(X=X, Y=Y, theta=spec.theta.copy(), sigma=spec.sigma, seed=stored_seed)
+    return RegressionSample(X=X, Y=Y)
 
 
 def sample_sparse_theta(
@@ -222,36 +212,33 @@ def split_sample(sample: RegressionSample, parts: int) -> list[tuple[np.ndarray,
 
 def write_sample(sample: RegressionSample, path: str | Path) -> Path:
     """Write a sample as CSV with header ``y,x1,...,xp`` and ``\\r\\n`` line ends,
-    each value as its shortest round-trip ``repr``.
-
-    When ground truth is attached, a sidecar ``<path>.truth.json`` records
-    ``{"theta": [...], "sigma": ..., "seed": ...}``.
-    """
+    each value as its shortest round-trip ``repr``."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(sample.p)]) + "\r\n")
         for y, x in zip(sample.Y.tolist(), sample.X):  # one row at a time keeps memory flat
             fh.write(",".join(map(repr, [y] + x.tolist())) + "\r\n")
-    if sample.theta is not None:
-        truth = {"theta": list(sample.theta), "sigma": sample.sigma, "seed": sample.seed}
-        path.with_suffix(path.suffix + ".truth.json").write_text(json.dumps(truth))
     return path
 
 
 def read_sample(path: str | Path) -> RegressionSample:
     """Read the (X, Y) of a CSV sample written by :func:`write_sample`.
 
-    The truth sidecar is not read: the sample carries no ground truth.  A
-    missing ``y`` header, no data rows, and malformed or ragged rows raise
-    ``ValueError``.
+    A missing ``y`` header, no data rows, malformed or ragged rows, and rows
+    whose width differs from the header's raise ``ValueError``.
     """
     path = Path(path)
     with open(path) as fh:
-        if fh.readline().split(",")[0].rstrip("\r\n") != "y":
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[0] != "y":
             raise ValueError(f"{path}: expected header starting with 'y'")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
+        raise ValueError(
+            f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
+        )
     return RegressionSample(X=data[:, 1:], Y=data[:, 0])

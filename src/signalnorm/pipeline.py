@@ -41,31 +41,14 @@ def estimate(
     raise ValueError(f"unknown regime {regime!r}; expected 'low' or 'high'")
 
 
-def decide(
-    est: FunctionalEstimate,
-    s: int,
-    p: int,
-    alpha: float = 4.0,
-    beta: float | None = None,
-    c1: float = 1.5,
-    delta: float = 0.1,
-    calib_trials: int = 2000,
-    calib_seed: int = 0,
-) -> tuple[int, float, float]:
-    """The detection rule applied to an estimate: ``(decision, threshold, beta)``.
-
-    When `beta` is None it is calibrated at level `delta` under the null of
-    the estimate's regime, with the same `alpha` and `c1` (cached).
-    """
-    if beta is None:
-        beta = calibration.calibrate_beta(
-            p=p, N=est.n_used, s=s, delta=delta, regime=est.regime,
-            alpha=alpha, c1=c1, trials=calib_trials, seed=calib_seed,
-        )
-    elif beta <= 0:
+def decide(est: FunctionalEstimate, s: int, p: int, beta: float) -> tuple[int, float]:
+    """The detection rule applied to an estimate at the constant `beta`:
+    ``(decision, threshold)``, with decision 1 when the norm estimate reaches
+    the threshold."""
+    if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     threshold = detection_threshold(beta, est.sigma_hat, s, p, est.n_used)
-    return int(est.lambda_hat >= threshold), threshold, beta
+    return int(est.lambda_hat >= threshold), threshold
 
 
 def detect(
@@ -79,10 +62,16 @@ def detect(
     calib_trials: int = 2000,
     calib_seed: int = 0,
 ) -> tuple[int, float, float, float]:
-    """Test theta = 0: ``(decision, lambda_hat, threshold, beta)``, with
-    decision 1 when the norm estimate reaches the detection threshold."""
+    """Test theta = 0: ``(decision, lambda_hat, threshold, beta)``.
+
+    When `beta` is None it is calibrated at level `delta` on `calib_trials`
+    simulated nulls of the estimate's regime, with the same `alpha` and `c1`.
+    """
     est = estimate(sample, s, regime, alpha, c1)
-    decision, threshold, beta = decide(
-        est, s, sample.p, alpha, beta, c1, delta, calib_trials, calib_seed
-    )
+    if beta is None:
+        beta = calibration.calibrate_beta(
+            p=sample.p, N=est.n_used, s=s, delta=delta, regime=est.regime,
+            alpha=alpha, c1=c1, trials=calib_trials, seed=calib_seed,
+        )
+    decision, threshold = decide(est, s, sample.p, beta)
     return decision, est.lambda_hat, threshold, beta

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import signalnorm as sn
-from signalnorm.calibration import calibrate_beta, clear_cache
+from signalnorm.calibration import calibrate_beta
 
 
 def _emit(num, name, ok, detail):
@@ -191,7 +191,6 @@ def test_06_sparse_highdim_null_rate():
 def test_07_detection_level_and_power():
     n, p, s, delta, alpha = 200, 100, 3, 0.1, 1.0
     N = 2 * n
-    clear_cache()
     beta = calibrate_beta(p=p, N=N, s=s, delta=delta, regime="low", alpha=alpha,
                           trials=2000, seed=1234)
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from signalnorm.harness import CSV_COLUMNS
+from signalnorm.model import Dimensions, ModelSpec, read_sample, synthesize
 from signalnorm.pipeline import detection_threshold
 
 # Seeded `simulate` files, `rates` and `lower-bound` stdout and detection
@@ -101,15 +103,22 @@ def sample_csv(tmp_path, capsys):
 
 
 def test_gen_writes_csv_and_sidecar(tmp_path, capsys):
+    """The sidecar holds the theta, sigma and seed that generated the CSV."""
     path = tmp_path / "s.csv"
-    code, out = run_cli(capsys, "gen", "--N", "10", "--p", "3", "--s", "1",
+    code, out = run_cli(capsys, "gen", "--N", "10", "--p", "3", "--s", "1", "--sigma", "0.7",
                         "--magnitude", "1.0", "--seed", "3", "--out", str(path))
     assert code == EXIT_OK
-    assert path.exists() and path.with_suffix(".csv.truth.json").exists()
     header = path.read_text().splitlines()[0]
     assert header == "y,x1,x2,x3"
     truth = json.loads(path.with_suffix(".csv.truth.json").read_text())
-    assert truth["seed"] == 3 and len(truth["theta"]) == 3
+    assert list(truth) == ["theta", "sigma", "seed"]
+    assert truth["sigma"] == 0.7 and truth["seed"] == 3
+    assert sorted(truth["theta"]) == [0.0, 0.0, 1.0]
+    regenerated = synthesize(ModelSpec(theta=truth["theta"], sigma=truth["sigma"]),
+                             Dimensions(N=10, p=3, s=1), truth["seed"])
+    sample = read_sample(path)
+    np.testing.assert_array_equal(sample.X, regenerated.X)
+    np.testing.assert_array_equal(sample.Y, regenerated.Y)
 
 
 def test_gen_goldens(tmp_path, capsys):
@@ -271,6 +280,21 @@ def test_exit_code_config_errors(tmp_path, capsys):
         code = main([command, "--regime", regime, "--s", "1", "--input", str(empty_csv)])
         assert code == EXIT_CONFIG and "configuration error" in capsys.readouterr().err, \
             (command, regime)
+
+
+@pytest.mark.parametrize("bad_row,match", [
+    ("c:1,2,32,8,2,1.0", "line 4 is not as wide as the header"),
+    ("c:1,2,32,8,2,1.0,0.0,0.05,0.2,,0.05,,", "line 4 has no error tag but misses an estimate"),
+], ids=["short-row", "no-error-tag-empty-err-lambda"])
+def test_rates_rejects_bad_records(tmp_path, capsys, bad_row, match):
+    """A cut-short row, and a row without an error tag that misses an estimate,
+    exit 2 with the line named, rather than with a TypeError traceback."""
+    rows = ["c:0,1,16,4,2,1.0,0.0,0.1,0.3,,0.1,0.3,", "c:0,2,16,4,2,1.0,0.0,0.2,0.4,,0.2,0.4,",
+            bad_row, "c:1,3,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,"]
+    path = tmp_path / "records.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    code = main(["rates", "--from", str(path)])
+    assert code == EXIT_CONFIG and match in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

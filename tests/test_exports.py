@@ -1,7 +1,10 @@
 """The public names: every ``__all__`` entry resolves, and none is listed twice."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,17 @@ def test_package_all_resolves_without_duplicates():
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_submodule_all_resolves(module):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_perfbench_traced_functions_resolve(monkeypatch):
+    """The benchmark's tracer rebinds each function of its TRACED table by
+    module path, so a fold or a move of one of them would crash every traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    unresolved = [f"{modname}.{fname}" for modname, funcs in tracing.TRACED.items()
+                  for fname in funcs
+                  if not callable(getattr(importlib.import_module(modname), fname, None))]
+    assert tracing.TRACED and unresolved == []

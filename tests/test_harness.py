@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from signalnorm import ExperimentConfig, TrialRecord, fit_rate, report, run_trials, summarize
+from signalnorm import (
+    ExperimentConfig, TrialRecord, calibration, fit_rate, report, run_trials, summarize,
+)
 from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
 from signalnorm.lower_bounds import rate_sq
 
@@ -87,7 +89,7 @@ class TestRunTrials:
         for point in reversed(config.grid_points()):
             for rep in reversed(range(config.replications)):
                 seed = _trial_seed(config.seed, point["index"], rep)
-                backward.append(run_single_trial(config, point, seed))
+                backward.append(run_single_trial(config, point, seed, {}))
         key = lambda r: (r.config_id, r.seed)
         assert sorted(forward, key=key) == sorted(backward, key=key)
 
@@ -111,6 +113,43 @@ class TestRunTrials:
         config = tiny_config(task="detect", beta=2.0, n=[16], replications=3)
         records = run_trials(config)
         assert all(r.decision in (0, 1) for r in records)
+
+    def test_detect_calibrates_once_per_n(self, monkeypatch):
+        """Without a beta, a detect run calibrates once for each n, whatever the
+        noise levels, magnitudes and replications at it, and decides as if
+        every trial had calibrated its own."""
+        calls = []
+        real = calibration.calibrate_beta
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "calibrate_beta", counting)
+        config = tiny_config(task="detect", n=[16, 24], sigma=[0.5, 1.0], magnitude=[0.0, 1.0],
+                             calib_trials=20)
+        records = run_trials(config)
+        assert len(records) == 2 * 2 * 2 * 2
+        assert all(r.error is None and r.decision in (0, 1) for r in records)
+        assert [(c["p"], c["N"]) for c in calls] == [(4, 32), (6, 48)]
+        alone = [run_single_trial(config, point, _trial_seed(config.seed, point["index"], rep), {})
+                 for point in config.grid_points() for rep in range(config.replications)]
+        assert alone == records
+
+    def test_failing_calibration_tags_every_detect_trial(self, monkeypatch):
+        """A calibration that raises is not kept: every trial whose estimate
+        succeeded calls it again and carries its message."""
+        calls = []
+
+        def failing(**kwargs):
+            calls.append(kwargs)
+            raise ValueError("no null statistic")
+
+        monkeypatch.setattr(calibration, "calibrate_beta", failing)
+        records = run_trials(tiny_config(task="detect", n=[16, 24]))
+        assert len(records) == len(calls) == 4
+        assert all(r.error == "ValueError: no null statistic" and r.q_hat is not None
+                   and r.decision is None for r in records)
 
 
 class TestFitRate:
@@ -142,7 +181,7 @@ class TestTheoreticalRate:
     @staticmethod
     def _rates(p, N, s, sigma, kappa):
         """(theoretical_phi, theoretical_q) of one grid point with n = N/2."""
-        rec = TrialRecord("x:0", 0, N // 2, p, s, sigma, kappa**2, kappa,
+        rec = TrialRecord("x:0", 0, N // 2, p, s, sigma, kappa**2,
                           q_hat=kappa**2, lambda_hat=kappa, err_q=0.0, err_lambda=0.0)
         point = summarize([rec])["points"][0]
         return point["theoretical_phi"], point["theoretical_q"]

@@ -18,7 +18,7 @@ from signalnorm import (
     sqrt_slope_fit,
     synthesize,
 )
-from signalnorm.calibration import calibrate_beta, clear_cache
+from signalnorm.calibration import calibrate_beta
 
 
 def _sample(N, p, theta=None, sigma=1.0, seed=0):
@@ -131,7 +131,6 @@ class TestDetectHighdim:
 
     def test_calibrated_level(self):
         """Null rejection rate at the calibrated constant stays within delta + 0.03."""
-        clear_cache()
         p, n, s, delta, alpha = 200, 100, 3, 0.1, 1.0
         N = 3 * n
         beta = calibrate_beta(p=p, N=N, s=s, delta=delta, regime="high",

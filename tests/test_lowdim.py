@@ -23,7 +23,7 @@ from signalnorm import (
     sample_sparse_theta,
     synthesize,
 )
-from signalnorm.calibration import calibrate_beta, clear_cache
+from signalnorm.calibration import calibrate_beta
 from signalnorm.lowdim import _SINGULAR_RTOL
 
 # Seeded low-regime `estimate` and `detect` outputs as float.hex strings,
@@ -271,7 +271,6 @@ class TestDetectLowdim:
 
     def test_calibrated_level_small_dims(self):
         """Empirical rejection rate under the null stays within delta + 0.03."""
-        clear_cache()
         p, N, s, delta, alpha = 16, 64, 3, 0.1, 1.0
         beta = calibrate_beta(p=p, N=N, s=s, delta=delta, regime="low",
                               alpha=alpha, trials=2000, seed=77)
@@ -286,11 +285,13 @@ class TestDetectLowdim:
             rejections += int(est.lambda_hat >= thr)
         assert rejections / trials <= delta + 0.03
 
-    def test_calibration_cached(self):
-        clear_cache()
-        a = calibrate_beta(p=8, N=32, s=2, delta=0.2, regime="low", alpha=1.0, trials=50, seed=1)
-        b = calibrate_beta(p=8, N=32, s=2, delta=0.2, regime="low", alpha=1.0, trials=50, seed=1)
-        assert a == b
+    def test_calibration_deterministic(self):
+        """beta is a pure function of its arguments: the same arguments give the
+        same value, whatever was calibrated in between."""
+        args = dict(p=8, N=32, s=2, delta=0.2, regime="low", alpha=1.0, trials=50, seed=1)
+        beta = calibrate_beta(**args)
+        calibrate_beta(**{**args, "seed": 2})
+        assert calibrate_beta(**args) == beta > 0
 
 
 def test_dense_null_risk_tracks_theoretical_rate():

@@ -20,7 +20,7 @@ from signalnorm import (
     synthesize,
     tau_from_rho,
 )
-from signalnorm.calibration import calibrate_beta, clear_cache
+from signalnorm.calibration import calibrate_beta
 
 
 def brute_force_overlap_mgf(p, s, N, tau):
@@ -223,7 +223,6 @@ def test_no_test_beats_the_bayes_bound():
         lr_type2 += mixture_lr(X, Y) <= 1.0
     assert lr_type1 / trials + lr_type2 / trials >= bound - 3 * se
 
-    clear_cache()
     beta = calibrate_beta(p=p, N=N, s=s, delta=delta, regime="low", alpha=1.0, trials=1000, seed=5)
     det_type1 = 0
     for child in np.random.SeedSequence(41).spawn(trials):

@@ -1,6 +1,5 @@
 """Tests for synthetic data generation, sparse signals, and sample splitting."""
 
-import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -80,7 +79,7 @@ class TestSynthesize:
         dims = Dimensions(N=3, p=2, s=1)
         spec = ModelSpec(theta=np.array([1.0, 0.0]), sigma=2.0)
         sample = synthesize(spec, dims, seed=1234)
-        ss_design, ss_noise = np.random.SeedSequence(sample.seed).spawn(2)
+        ss_design, ss_noise = np.random.SeedSequence(1234).spawn(2)
         X = DESIGN_LAWS["standard-normal"](np.random.default_rng(ss_design), (3, 2))
         xi = NOISE_LAWS["standard-normal"](np.random.default_rng(ss_noise), 3)
         np.testing.assert_array_equal(sample.X, X)
@@ -200,13 +199,12 @@ class TestCsvRoundTrip:
         back = read_sample(path)
         np.testing.assert_array_equal(back.X, sample.X)
         np.testing.assert_array_equal(back.Y, sample.Y)
-        # the truth goes to the sidecar, which read_sample does not read
-        assert back.theta is None and back.sigma is None and back.seed is None
-        truth = json.loads((tmp_path / "sample.csv.truth.json").read_text())
-        assert truth == {"theta": theta.tolist(), "sigma": 0.7, "seed": 11}
 
     def test_no_sidecar_without_truth(self, tmp_path):
-        write_sample(RegressionSample(X=np.eye(2), Y=np.ones(2)), tmp_path / "s.csv")
+        """A sample holds no truth, a synthesized one included, so write_sample
+        writes the CSV alone; `gen` writes the truth sidecar."""
+        sample = synthesize(ModelSpec(theta=np.ones(2), sigma=1.0), Dimensions(N=3, p=2, s=2), 0)
+        write_sample(sample, tmp_path / "s.csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
     @PROPERTY
@@ -234,7 +232,10 @@ class TestCsvRoundTrip:
         ("y,x1\r\n", "no data rows"),
         ("y,x1\n1,2\n3\n", "columns"),
         ("y,x1\n1,abc\n", "abc"),
-    ], ids=["empty", "header-only", "ragged", "not-a-number"])
+        ("y,x1\n1,2,3\n4,5,6\n", "header names 2"),
+        ("y,x1,x2\n1,2\n", "header names 3"),
+    ], ids=["empty", "header-only", "ragged", "not-a-number", "wider-than-header",
+            "narrower-than-header"])
     def test_malformed_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text)
