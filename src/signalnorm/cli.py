@@ -120,7 +120,7 @@ def _cmd_estimate(args) -> int:
     options = _high_regime_options(args)
     sample = read_sample(args.input)
     est = pipeline.estimate(sample, args.s, args.regime, args.alpha, **options)
-    print(json.dumps(est.to_dict()))
+    print(json.dumps(asdict(est)))
     return EXIT_OK
 
 
@@ -138,7 +138,7 @@ def _cmd_detect(args) -> int:
 def _cmd_slope_fit(args) -> int:
     sample = read_sample(args.input)
     fit = sqrt_slope_fit(sample.X, sample.Y, c1=args.c1, max_iter=args.max_iter, tol=args.tol)
-    print(json.dumps(fit.to_dict()))
+    print(json.dumps({**asdict(fit), "theta_hat": fit.theta_hat.tolist()}))
     return EXIT_OK
 
 

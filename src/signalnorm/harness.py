@@ -11,6 +11,7 @@ error tag and excluded from aggregates, never silently dropped.
 from __future__ import annotations
 
 import ast
+import csv
 import hashlib
 import json
 import math
@@ -116,11 +117,11 @@ class ExperimentConfig:
     task: str = "estimate-norm"  # "estimate-norm" | "estimate-q" | "detect"
     regime: str = "auto"  # "low" | "high" | "auto"
     replications: int = 1
-    n: list = field(default_factory=lambda: [64])
+    n: list[int] = field(default_factory=lambda: [64])
     p_rule: str = "n/2"
     s_rule: str = "floor(sqrt(p))"
-    sigma: list = field(default_factory=lambda: [1.0])
-    magnitude: list = field(default_factory=lambda: [0.0])
+    sigma: list[float] = field(default_factory=lambda: [1.0])
+    magnitude: list[float] = field(default_factory=lambda: [0.0])
     alpha: float = 4.0
     beta: float | None = None
     c1: float = 1.5
@@ -155,28 +156,24 @@ class ExperimentConfig:
             ModelSpec(theta=np.zeros(1), sigma=float(sigma), design=self.design, noise=self.noise)
 
     def _check_types(self) -> None:
-        """Reject values of the wrong JSON type before any comparison uses them."""
-        kinds = {numbers.Integral: "an integer", numbers.Real: "a number", str: "a string"}
+        """Reject a value whose JSON type is not its field's annotation, before any use."""
+        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                 "str": (str, "a string")}
 
         def check(name, value, kind):
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"{name} must be {kinds[kind]}, got {value!r}")
+            cls, noun = kinds[kind]
+            if not isinstance(value, cls) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
 
-        for name in ("seed", "replications", "calib_trials"):
-            check(name, getattr(self, name), numbers.Integral)
-        for name in ("alpha", "c1", "delta"):
-            check(name, getattr(self, name), numbers.Real)
-        if self.beta is not None:
-            check("beta", self.beta, numbers.Real)
-        for name in ("task", "regime", "p_rule", "s_rule", "design", "noise", "pattern"):
-            check(name, getattr(self, name), str)
-        for name, kind in (("n", numbers.Integral), ("sigma", numbers.Real),
-                           ("magnitude", numbers.Real)):
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {values!r}")
-            for value in values:
-                check(f"every {name} entry", value, kind)
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if kind.startswith("list["):
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{f.name} must be a list, got {value!r}")
+                for entry in value:
+                    check(f"every {f.name} entry", entry, kind[5:-1])
+            elif value is not None or kind == f.type:
+                check(f.name, value, kind)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -399,15 +396,14 @@ def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
                     "abs_err_lambda_upper_quantile": float(np.quantile(np.abs(err_l), 1 - delta)),
                 }
             )
-            k, sigma = rec0.true_lambda, rec0.sigma
             n_eff = 2 * rec0.n  # reference scaling uses the 2-split budget
             base = lower_bounds.rate_sq(rec0.s, rec0.p, n_eff)  # psi^2; rates with constants 1
-            phi = float(sigma * np.sqrt(base))
+            phi = float(rec0.sigma * np.sqrt(base))
             entry["theoretical_phi"] = phi
             entry["ratio_lambda_mse_to_phi_sq"] = (
                 entry["mse_lambda"] / phi**2 if phi > 0 else None
             )
-            q_rate = float(min(sigma**2 * base + sigma * k / np.sqrt(n_eff), k**2))
+            q_rate = lower_bounds.q_lower_bound(rec0.p, n_eff, rec0.s, rec0.sigma, rec0.true_lambda)
             entry["theoretical_q"] = q_rate
             entry["ratio_q_mse_to_rate_sq"] = entry["mse_q"] / q_rate**2 if q_rate > 0 else None
             decisions = [r.decision for r in ok if r.decision is not None]
@@ -447,14 +443,6 @@ def metric_points(records: list[TrialRecord], metric: str) -> list[tuple[int, fl
     return pts
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float = 0.1) -> dict:
     """Write ``records.csv`` (fixed column order) and ``summary.json``.
 
@@ -466,10 +454,9 @@ def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float =
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "records.csv"
     with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            row = [_format_cell(getattr(rec, col)) for col in CSV_COLUMNS]
-            fh.write(",".join(row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([getattr(rec, col) for col in CSV_COLUMNS] for rec in records)
     summary = summarize(records, delta=delta)
     fits = {}
     for metric in ("mse_lambda", "mse_q"):
@@ -487,23 +474,26 @@ def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float =
 def read_records(path: str | Path) -> list[TrialRecord]:
     """Read back a ``records.csv`` written by :func:`report`.  A row not as wide
     as the header, a cell that does not parse, and a row without an error tag
-    that misses an estimate raise ``ValueError``."""
-    import csv as _csv
-
+    that misses an estimate raise ``ValueError`` naming the line, and the
+    column for a bad cell."""
     records = []
     with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
             if None in row or None in row.values():
-                raise ValueError(f"{path}: line {reader.line_num} is not as wide as the header")
-            rec = TrialRecord(**{name: None if optional and not row[name] else kind(row[name])
-                                 for name, (kind, optional) in _COLUMN_TYPES.items()})
+                raise ValueError(f"{where} is not as wide as the header")
+            values = {}
+            for name, (kind, optional) in _COLUMN_TYPES.items():
+                try:
+                    values[name] = None if optional and not row[name] else kind(row[name])
+                except ValueError as exc:
+                    raise ValueError(f"{where}, column {name}: {exc}") from None
+            rec = TrialRecord(**values)
             if rec.error is None and None in (rec.q_hat, rec.lambda_hat, rec.err_q, rec.err_lambda):
-                raise ValueError(
-                    f"{path}: line {reader.line_num} has no error tag but misses an estimate"
-                )
+                raise ValueError(f"{where} has no error tag but misses an estimate")
             records.append(rec)
     return records

@@ -9,7 +9,7 @@ estimate clears a noise-calibrated threshold gives the sparse one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class FunctionalEstimate:
     def n_used(self) -> int:
         """Rows the estimate consumed: the N of the detection rate."""
         return self.parts * self.n_per_split
-
-    def to_dict(self) -> dict:
-        """Every field, in field order."""
-        return asdict(self)
 
 
 def component_estimates(

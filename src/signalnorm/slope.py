@@ -36,24 +36,15 @@ __all__ = [
 _INTERPOLATION_GUARD = 1e-10
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SlopeFit:
-    """Solver output: coefficients, objective value, iteration diagnostics."""
+    """Solver output: coefficients, noise estimate, objective, iteration diagnostics."""
 
     theta_hat: np.ndarray
+    sigma_hat: float
     objective: float
     iterations: int
     converged: bool
-    sigma_hat: float
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_hat": list(self.theta_hat),
-            "sigma_hat": self.sigma_hat,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 def slope_weights(p: int, n: int, c1: float = 1.5) -> np.ndarray:
@@ -85,11 +76,11 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Sorts magnitudes descending, subtracts the weights, then restores the
     nonincreasing-nonnegative shape by averaging violating blocks with a
-    stack-based pool-adjacent-violators pass; signs and positions of `v`
-    are restored at the end.  The pass stops after the last difference
-    that is not clearly negative: a block holding a later one averages
-    below zero and merges only with blocks lower still, so all of them
-    output zero and the result is bit-identical to a full pass.
+    stack-based pool-adjacent-violators pass; positions of `v`, and its sign
+    bits (so that -0.0 stays -0.0), are restored at the end.  The pass stops
+    after the last difference that is not clearly negative: a block holding a
+    later one averages below zero and merges only with blocks lower still, so
+    all of them output zero and the result is bit-identical to a full pass.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -101,7 +92,6 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     if np.any(np.diff(w) > 0):
         raise ValueError("weights must be nonincreasing")
 
-    signs = np.sign(v)
     mags = np.abs(v)
     order = np.argsort(-mags, kind="stable")
     diff = mags[order] - w
@@ -113,16 +103,17 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     cut = head[-1] + 1 if head.size else 0
 
     # Stack of blocks (start index, running sum, average), merged whenever the
-    # averages violate the nonincreasing constraint; Python floats round
-    # exactly as float64 arrays do.
+    # averages violate the nonincreasing constraint (equal ones merge at their
+    # level, as k copies of a need not sum to k*a); Python floats round exactly
+    # as float64 arrays do.
     start, total, avg = [], [], []
     for i, d in enumerate(diff[:cut].tolist()):
         b, t, a = i, d, d
         while avg and avg[-1] <= a:
-            avg.pop()
+            prev = avg.pop()
             b = start.pop()
             t = total.pop() + t
-            a = t / (i - b + 1)
+            a = prev if prev == a else t / (i - b + 1)
         start.append(b)
         total.append(t)
         avg.append(a)
@@ -130,7 +121,7 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     level = np.array(avg)  # clipped below as max(avg, 0.0) does: -0.0 and NaN kept
     out = np.zeros(p)
     out[order[:cut]] = np.repeat(np.where(level < 0, 0.0, level), np.diff(start + [cut]))
-    return out * signs
+    return np.copysign(out, v)
 
 
 def sqrt_slope_fit(
@@ -202,8 +193,8 @@ def sqrt_slope_fit(
     resid = float(np.linalg.norm(r))
     return SlopeFit(
         theta_hat=x,
+        sigma_hat=resid / np.sqrt(n),
         objective=resid + sorted_l1_norm(x, w_eff),
         iterations=iterations,
         converged=converged,
-        sigma_hat=resid / np.sqrt(n),
     )

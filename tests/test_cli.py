@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from signalnorm.harness import CSV_COLUMNS
+from signalnorm.harness import CSV_COLUMNS, ExperimentConfig, read_records, run_trials
 from signalnorm.model import Dimensions, ModelSpec, read_sample, synthesize
 from signalnorm.pipeline import detection_threshold
 
@@ -137,6 +137,8 @@ def test_estimate_low(sample_csv, capsys):
     code, out = run_cli(capsys, "estimate", "--regime", "low", "--s", "2",
                         "--input", str(sample_csv))
     assert code == EXIT_OK
+    assert list(out) == ["q_hat", "lambda_hat", "sigma_hat", "branch", "regime",
+                         "n_per_split", "parts", "threshold"]  # the README's order
     assert out["regime"] == "low" and out["parts"] == 2
     assert np.isfinite(out["q_hat"]) and out["lambda_hat"] >= 0
 
@@ -168,7 +170,7 @@ def test_detect_with_calibration(sample_csv, capsys):
 def test_slope_fit_output_schema(sample_csv, capsys):
     code, out = run_cli(capsys, "slope-fit", "--c1", "1.5", "--input", str(sample_csv))
     assert code == EXIT_OK
-    assert set(out) == {"theta_hat", "sigma_hat", "objective", "iterations", "converged"}
+    assert list(out) == ["theta_hat", "sigma_hat", "objective", "iterations", "converged"]
     assert len(out["theta_hat"]) == 4
 
 
@@ -196,6 +198,24 @@ def test_simulate_and_rates(tmp_path, capsys):
     code, out = run_cli(capsys, "rates", "--from", str(records_path), "--metric", "mse_lambda")
     assert code == EXIT_OK
     assert np.isfinite(out["slope"]) and len(out["points"]) == 2
+
+
+def test_simulate_error_messages_with_commas_read_back(tmp_path, capsys):
+    """Every n=16 trial fails with a message holding commas (n = p); `records.csv`
+    quotes it, reads back equal to the records, and `rates` fits the other sizes."""
+    config = {"seed": 1, "regime": "low", "n": [16, 40, 60], "p_rule": "min(n, 20)",
+              "s_rule": "5", "magnitude": [1.0], "replications": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                      "--out-dir", str(tmp_path / "run"))
+    assert code == EXIT_OK
+    records = run_trials(ExperimentConfig.from_dict(config))
+    assert [r.error is not None and ", " in r.error for r in records] == [True] * 2 + [False] * 4
+    records_path = tmp_path / "run" / "records.csv"
+    assert read_records(records_path) == records
+    code, out = run_cli(capsys, "rates", "--from", str(records_path))
+    assert code == EXIT_OK and len(out["points"]) == 2
 
 
 def test_report_goldens(tmp_path):
@@ -285,16 +305,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("bad_row,match", [
     ("c:1,2,32,8,2,1.0", "line 4 is not as wide as the header"),
     ("c:1,2,32,8,2,1.0,0.0,0.05,0.2,,0.05,,", "line 4 has no error tag but misses an estimate"),
-], ids=["short-row", "no-error-tag-empty-err-lambda"])
+    ("c:1,,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,",
+     "line 4, column seed: invalid literal for int() with base 10: ''"),
+], ids=["short-row", "no-error-tag-empty-err-lambda", "empty-seed"])
 def test_rates_rejects_bad_records(tmp_path, capsys, bad_row, match):
-    """A cut-short row, and a row without an error tag that misses an estimate,
-    exit 2 with the line named, rather than with a TypeError traceback."""
+    """A cut-short row, a row without an error tag that misses an estimate, and a
+    cell that does not parse exit 2 with the file and line named (and the column
+    of the cell), rather than with a TypeError traceback."""
     rows = ["c:0,1,16,4,2,1.0,0.0,0.1,0.3,,0.1,0.3,", "c:0,2,16,4,2,1.0,0.0,0.2,0.4,,0.2,0.4,",
             bad_row, "c:1,3,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,"]
     path = tmp_path / "records.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     code = main(["rates", "--from", str(path)])
-    assert code == EXIT_CONFIG and match in capsys.readouterr().err
+    assert code == EXIT_CONFIG and f"{path}: {match}" in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

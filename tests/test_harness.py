@@ -9,7 +9,7 @@ from signalnorm import (
     ExperimentConfig, TrialRecord, calibration, fit_rate, report, run_trials, summarize,
 )
 from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
-from signalnorm.lower_bounds import rate_sq
+from signalnorm.lower_bounds import q_lower_bound, rate_sq
 
 
 def tiny_config(**overrides):
@@ -201,6 +201,13 @@ class TestTheoreticalRate:
     def test_q_rate_zero_kappa(self):
         assert self._rates(100, 1000, 5, 1.0, 0.0)[1] == 0.0
 
+    def test_q_rate_is_the_q_lower_bound_with_its_clamp(self):
+        """Where psi^2 exceeds 1 (s=10, p=10^6, n=16 gives 1.44) the q rate clamps
+        it to 1, as `q_lower_bound` does."""
+        assert rate_sq(10, 10**6, 32) > 1.4
+        q_rate = self._rates(10**6, 32, 10, 1.0, 10.0)[1]
+        assert q_rate == q_lower_bound(10**6, 32, 10, 1.0, 10.0) == 1.0 + 10.0 / np.sqrt(32)
+
 
 class TestReport:
     def test_empty_records_valid_csv(self, tmp_path):
@@ -218,6 +225,15 @@ class TestReport:
         for orig, rt in zip(records, back):
             assert rt.config_id == orig.config_id and rt.seed == orig.seed
             assert rt.q_hat == orig.q_hat and rt.err_q == orig.err_q
+
+    def test_cell_with_comma_and_quote_round_trips(self, tmp_path):
+        """A cell holding a comma, a double quote or a newline is quoted, so its
+        row keeps the header's width and reads back unchanged."""
+        records = run_trials(tiny_config(magnitude=[0.5]))
+        records[1] = TrialRecord(records[1].config_id, records[1].seed, 16, 4, 2, 1.0, 0.25,
+                                 error='ValueError: need n > p, got n=16, p=16; "a"\nb')
+        paths = report(records, out_dir=tmp_path)
+        assert read_records(paths["records"]) == records
 
     def test_summary_matches_recomputation_from_csv(self, tmp_path):
         records = run_trials(tiny_config(magnitude=[0.5], replications=4))

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -328,7 +329,7 @@ def _golden_outputs(case):
     theta = sample_sparse_theta(30, s, magnitude, rng=np.random.default_rng(40))
     sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=240, p=30, s=s), 43)
     est = estimate(sample, s, "low", alpha=alpha)
-    out = {k: v.hex() if isinstance(v, float) else v for k, v in est.to_dict().items()}
+    out = {k: v.hex() if isinstance(v, float) else v for k, v in asdict(est).items()}
     for name, beta in (("detect", 2.0), ("detect_calibrated", None)):
         decision, lam, thr, used = detect(sample, s, "low", alpha=alpha, beta=beta,
                                           calib_trials=300, calib_seed=5)

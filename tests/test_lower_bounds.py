@@ -45,32 +45,6 @@ class TestTauFromRho:
             tau_from_rho(-0.1)
 
 
-class TestPrior:
-    """The least-favorable prior, drawn by sample_sparse_theta(p, s, tau)."""
-
-    def test_full_support_constant_vector(self):
-        theta = sample_sparse_theta(4, 4, 2.0, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(theta, np.ones(4))
-
-    def test_norm_always_tau(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            theta = sample_sparse_theta(9, 3, 0.7, rng=rng)
-            assert np.linalg.norm(theta) == pytest.approx(0.7)
-            assert np.count_nonzero(theta) == 3
-
-    def test_support_marginal(self):
-        rng = np.random.default_rng(2)
-        hits = sum(sample_sparse_theta(5, 2, 1.0, rng=rng)[0] != 0 for _ in range(10**5))
-        assert abs(hits / 10**5 - 0.4) <= 0.01
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_sparse_theta(3, 4, 1.0, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_sparse_theta(3, 1, -1.0, rng=np.random.default_rng(0))
-
-
 class TestChi2Cross:
     def test_orthogonal_pair(self):
         theta = np.array([0.3, 0.0])

@@ -1,11 +1,12 @@
 """Tests for the sorted-L1 machinery: weights, norm, prox, solver, noise estimate."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signalnorm import (
@@ -29,13 +30,15 @@ GOLDENS = json.loads((Path(__file__).parent / "goldens" / "slope.json").read_tex
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
+@np.errstate(over="ignore")  # numpy scalars warn where Python floats do not
 def prox_reference(v, w):
     """The sorted-L1 prox as first written: the stack-based pool-adjacent-violators
-    loop over numpy scalars, kept as the bit-exact reference for the fast one."""
+    loop over numpy scalars, kept as the bit-exact reference for the fast one.
+    Like it, it merges blocks of equal averages at that level and restores the
+    sign bits of `v` with copysign."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     p = v.shape[0]
-    signs = np.sign(v)
     mags = np.abs(v)
     order = np.argsort(-mags, kind="stable")
     diff = mags[order] - w
@@ -54,7 +57,8 @@ def prox_reference(v, w):
             k -= 1
             total[k] += total[k + 1]
             end[k] = i
-            avg[k] = total[k] / (end[k] - start[k] + 1)
+            if avg[k] != avg[k + 1]:
+                avg[k] = total[k] / (end[k] - start[k] + 1)
         k += 1
 
     out_sorted = np.empty(p)
@@ -63,7 +67,7 @@ def prox_reference(v, w):
 
     out = np.empty(p)
     out[order] = out_sorted
-    return out * signs
+    return np.copysign(out, v)
 
 
 def assert_prox_kkt(x, v, w):
@@ -231,6 +235,8 @@ class TestProxSortedL1:
 
     @PROPERTY
     @given(prox_inputs(BOUNDED))
+    @example(vw=(np.array([-0.0]), np.array([0.0])))  # np.sign(-0.0) is 0.0
+    @example(vw=(np.array([0.1, 0.1, 0.1]), np.zeros(3)))  # 0.1 + 0.1 + 0.1 is not 3 * 0.1
     def test_zero_weights_are_bit_identity(self, vw):
         v, _ = vw
         x = prox_sorted_l1(v, np.zeros(len(v)))
@@ -247,8 +253,7 @@ class TestProxSortedL1:
     )
     def test_edge_cases_bit_identical_to_reference(self, v, w):
         v, w = np.array(v), np.array(w)
-        with np.errstate(over="ignore"):  # numpy scalars warn where Python floats do not
-            assert prox_sorted_l1(v, w).tobytes() == prox_reference(v, w).tobytes()
+        assert prox_sorted_l1(v, w).tobytes() == prox_reference(v, w).tobytes()
 
     def test_local_optimality_under_perturbation(self):
         """No perturbation of norm <= 0.1 improves the prox objective."""
@@ -374,7 +379,7 @@ def _golden_estimate(s):
     theta = sample_sparse_theta(400, 5, 6.0, rng=np.random.default_rng(30))
     sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=300, p=400, s=s), 31)
     est = estimate_highdim(sample, s=s)
-    return {k: v.hex() if isinstance(v, float) else v for k, v in est.to_dict().items()}
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(est).items()}
 
 
 def _golden(section, case):
