@@ -27,20 +27,7 @@ def statistic(est: FunctionalEstimate, s: int, p: int) -> float:
     of the detection threshold: up to rounding, it reaches beta exactly when
     the detection rule rejects at beta."""
     rate = pipeline.detection_threshold(1.0, 1.0, s, p, est.n_used)
-    return est.lambda_hat / (max(est.sigma_hat, np.finfo(float).tiny) * rate)
-
-
-def _null_statistics(
-    p: int, N: int, s: int, regime: str, alpha: float, c1: float, trials: int, seed: int
-) -> np.ndarray:
-    spec = ModelSpec(theta=np.zeros(p), sigma=1.0)
-    dims = Dimensions(N=N, p=p, s=s)
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(0xCA11B,))
-    stats = np.empty(trials)
-    for i, child in enumerate(root.spawn(trials)):
-        est = pipeline.estimate(synthesize(spec, dims, child), s, regime, alpha, c1)
-        stats[i] = statistic(est, s, p)
-    return stats
+    return est.lambda_hat / (est.sigma_hat * rate)
 
 
 def calibrate_beta(
@@ -66,7 +53,13 @@ def calibrate_beta(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stats = _null_statistics(p, N, s, regime, alpha, c1, trials, seed)
+    spec = ModelSpec(theta=np.zeros(p), sigma=1.0)
+    dims = Dimensions(N=N, p=p, s=s)
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(0xCA11B,))
+    stats = np.empty(trials)
+    for i, child in enumerate(root.spawn(trials)):
+        est = pipeline.estimate(synthesize(spec, dims, child), s, regime, alpha, c1)
+        stats[i] = statistic(est, s, p)
     beta = float(np.quantile(stats, 1.0 - delta, method="higher"))
     if beta <= 0:
         positive = stats[stats > 0]

@@ -65,7 +65,8 @@ def eval_rule(expr: str, **variables) -> float:
     ``"floor(sqrt(p))"`` over the supplied variables.
 
     Only numbers, the named variables, +-*/ // % **, and
-    sqrt/floor/ceil/log/min/max are allowed; anything else raises.
+    sqrt/floor/ceil/log/min/max are allowed; anything else, and a rule that
+    fails arithmetically or gives no finite number, raises ``ValueError``.
     """
     body = expr.split("=", 1)[1] if "=" in expr else expr
     try:
@@ -96,7 +97,13 @@ def eval_rule(expr: str, **variables) -> float:
             return _RULE_FUNCS[node.func.id](*[ev(a) for a in node.args])
         raise ValueError(f"unsupported construct in rule {expr!r}")
 
-    return ev(tree)
+    try:
+        value = ev(tree)
+        if not math.isfinite(value):
+            raise ValueError(f"rule {expr!r} evaluated to {value}")
+    except (ArithmeticError, TypeError) as exc:  # 1/0, 2.0**2000, min(), (-1)**0.5
+        raise ValueError(f"rule {expr!r} failed: {exc}") from None
+    return value
 
 
 def _rule_int(expr: str, low: int, high: int | None = None, **variables) -> int:
@@ -177,6 +184,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -265,12 +274,6 @@ class RateFit:
     points: list
 
 
-def _pick_regime(regime: str, n: int, p: int) -> str:
-    if regime != "auto":
-        return regime
-    return "low" if p <= n // 2 else "high"
-
-
 def _trial_seed(config_seed: int, point_index: int, rep: int) -> int:
     ss = np.random.SeedSequence(entropy=config_seed, spawn_key=(point_index, rep))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -291,7 +294,9 @@ def run_single_trial(
     )
     record = TrialRecord(config_id=point["config_id"], seed=trial_seed, n=n, p=p, s=s,
                          sigma=sigma, true_q=float(theta @ theta))
-    regime = _pick_regime(config.regime, n, p)
+    regime = config.regime
+    if regime == "auto":
+        regime = "low" if p <= n // 2 else "high"
     try:
         spec = ModelSpec(theta=theta, sigma=sigma, design=config.design, noise=config.noise)
         dims = Dimensions(N=split_parts(regime, s, p) * n, p=p, s=s)

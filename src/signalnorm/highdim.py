@@ -34,7 +34,7 @@ def estimate_highdim(
     dense estimator evaluated at the zero vector on the full sample (the
     preliminary is deterministic, so no split is needed); it is consistent
     for the squared norm whenever p grows slower than N^2, with no noise
-    estimate attached.
+    estimate attached.  A fit that does not converge raises ``ArithmeticError``.
     """
     p = sample.p
     if not 1 <= s <= p:
@@ -52,6 +52,8 @@ def estimate_highdim(
     (X1, Y1), (X2, Y2) = blocks[0], blocks[1]
     n = X1.shape[0]
     fit = sqrt_slope_fit(X1, Y1, c1=c1)
+    if not fit.converged:
+        raise ArithmeticError(f"sorted-L1 fit did not converge after {fit.iterations} iterations")
     screening = None
     if parts == 3:
         X3, Y3 = blocks[2]
@@ -59,8 +61,6 @@ def estimate_highdim(
         # the screening vector is Gaussian-like with variance ~ 2 sigma^2 / n
         # around theta, hence the inflated scale and the diagonal 1/n.
         scale = np.sqrt(2.0) * fit.sigma_hat
-        if scale <= 0:
-            scale = np.finfo(float).tiny  # interpolation: threshold collapses to 0
         screening = (debias(fit.theta_hat, X3, Y3), scale, np.full(p, 1.0 / n))
     return quadratic_stage(
         fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,

@@ -166,7 +166,8 @@ def sample_sparse_theta(
     s: int,
     magnitude: float,
     pattern: str = "equal",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw an s-sparse vector with Euclidean norm `magnitude`.
 
@@ -182,7 +183,6 @@ def sample_sparse_theta(
         raise ValueError(f"magnitude must be >= 0, got {magnitude}")
     if pattern not in ("equal", "random-signs"):
         raise ValueError(f"unknown pattern {pattern!r}")
-    rng = np.random.default_rng() if rng is None else rng
     support = rng.choice(p, size=s, replace=False)
     theta = np.zeros(p)
     value = magnitude / np.sqrt(s)

@@ -148,24 +148,24 @@ def quadratic_stage(
     screening vector, the noise scale of the threshold and its length-p
     diagonal; without a screening triple (no preliminary fit) the estimate is
     dense.  `provenance` holds the remaining :class:`FunctionalEstimate` fields
-    (regime, n_per_split, parts).
+    (regime, n_per_split, parts).  A noise estimate of exactly 0, which would
+    collapse both the selection and the detection threshold to 0, raises
+    ``ArithmeticError``; ``sigma_hat=None`` (no preliminary fit) is allowed.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if sigma_hat == 0:
+        raise ArithmeticError("noise estimate sigma_hat is 0: the preliminary fit left no residual")
     p = X2.shape[1]
+    threshold, branch, keep = None, "dense", slice(None)
     if screening is not None and sparse_branch(s, p):
         bar_theta, scale, diag = screening
         tau = sparse_threshold(scale, diag, alpha, p, s)
-        threshold = float(np.max(tau))
         bar_theta = np.asarray(bar_theta, dtype=float)
         if bar_theta.shape[0] != p:
             raise ValueError("bar_theta length does not match p")
-        q_hat = float(component_estimates(prelim, X2, Y2)[np.abs(bar_theta) > tau].sum())
-        branch = "sparse"
-    else:
-        threshold = None
-        q_hat = float(component_estimates(prelim, X2, Y2).sum())
-        branch = "dense"
+        threshold, branch, keep = float(np.max(tau)), "sparse", np.abs(bar_theta) > tau
+    q_hat = float(component_estimates(prelim, X2, Y2)[keep].sum())
     return FunctionalEstimate(
         q_hat=q_hat,
         lambda_hat=float(np.sqrt(abs(q_hat))),

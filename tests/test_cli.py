@@ -14,8 +14,16 @@ import pytest
 
 from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from signalnorm.harness import CSV_COLUMNS, ExperimentConfig, read_records, run_trials
-from signalnorm.model import Dimensions, ModelSpec, read_sample, synthesize
-from signalnorm.pipeline import detection_threshold
+from signalnorm.model import (
+    Dimensions,
+    ModelSpec,
+    RegressionSample,
+    read_sample,
+    synthesize,
+    write_sample,
+)
+from signalnorm.pipeline import detection_threshold, estimate
+from signalnorm.quadratic import sparse_branch
 
 # Seeded `simulate` files, `rates` and `lower-bound` stdout and detection
 # thresholds, recorded before the rate and the report helpers were folded;
@@ -300,6 +308,20 @@ def test_exit_code_config_errors(tmp_path, capsys):
         code = main([command, "--regime", regime, "--s", "1", "--input", str(empty_csv)])
         assert code == EXIT_CONFIG and "configuration error" in capsys.readouterr().err, \
             (command, regime)
+    # a config that is not a JSON object, and size rules that fail arithmetically,
+    # rather than a TypeError traceback (exit 1) or a numeric failure (exit 3)
+    for i, (text, named) in enumerate((
+        ("null", "JSON object"), ("123", "JSON object"), ('["seed"]', "JSON object"),
+        (json.dumps({"seed": 1, "p_rule": "n/0"}), "rule 'n/0'"),
+        (json.dumps({"seed": 1, "p_rule": "1e308*10"}), "rule '1e308*10'"),
+        (json.dumps({"seed": 1, "s_rule": "min()"}), "rule 'min()'"),
+        (json.dumps({"seed": 1, "p_rule": "(-1)**0.5"}), "rule '(-1)**0.5'"),
+    )):
+        cfg = tmp_path / f"cfg-{i}.json"
+        cfg.write_text(text)
+        code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and "configuration error: " in err and named in err, text
 
 
 @pytest.mark.parametrize("bad_row,match", [
@@ -338,6 +360,26 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     code = main(["estimate", "--regime", "low", "--s", "1", "--input", str(zero)])
     assert code == EXIT_NUMERIC
     assert "design is numerically singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime", ["low", "high"])
+@pytest.mark.parametrize("s, branch", [(1, "sparse"), (3, "dense")])
+def test_zero_residuals_are_numeric_failures(tmp_path, capsys, regime, s, branch):
+    """An all-zero response leaves the preliminary fit no residual, so the noise
+    estimate is exactly 0: estimating and testing fail with exit 3 and one
+    message in both regimes and on both branches, rather than a threshold of 0
+    that rejects theta = 0."""
+    X = np.random.default_rng(0).standard_normal((24, 4))
+    sample = RegressionSample(X=X, Y=np.zeros(24))
+    with pytest.raises(ArithmeticError, match="sigma_hat is 0"):
+        estimate(sample, s, regime)
+    assert sparse_branch(s, 4) == (branch == "sparse")
+    path = write_sample(sample, tmp_path / "zero-y.csv")
+    for command in (["estimate"], ["detect", "--beta", "2"]):
+        code = main([*command, "--regime", regime, "--s", str(s), "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC and captured.out == "", command
+        assert "numeric failure: noise estimate sigma_hat is 0" in captured.err, command
 
 
 def test_import_does_not_load_scipy(tmp_path):

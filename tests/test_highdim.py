@@ -1,10 +1,13 @@
 """Tests for the square-root-penalized estimation and detection pipeline (p >~ n)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from signalnorm import (
     Dimensions,
+    ExperimentConfig,
     ModelSpec,
     RegressionSample,
     component_estimates,
@@ -12,13 +15,17 @@ from signalnorm import (
     detect,
     detection_threshold,
     estimate_highdim,
+    highdim,
+    run_trials,
     sample_sparse_theta,
     sparse_threshold,
     split_sample,
     sqrt_slope_fit,
     synthesize,
+    write_sample,
 )
 from signalnorm.calibration import calibrate_beta
+from signalnorm.cli import EXIT_NUMERIC, main
 
 
 def _sample(N, p, theta=None, sigma=1.0, seed=0):
@@ -47,6 +54,24 @@ class TestEstimateHighdim:
         est = estimate_highdim(sample, s=2, c1=1e-8)  # s=2 > sqrt(2): dense
         assert est.branch == "dense"
         assert est.q_hat == pytest.approx(theta @ theta, rel=1e-5)
+
+    def test_nonconverged_fit_is_a_numeric_failure(self, monkeypatch, tmp_path, capsys):
+        """A preliminary fit that stops short of convergence raises rather than
+        feed its iterate to q_hat: the CLI exits 3 and the harness tags the trial."""
+
+        def stalled(*args, **kwargs):
+            return dataclasses.replace(sqrt_slope_fit(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(highdim, "sqrt_slope_fit", stalled)
+        sample = _sample(60, 64, seed=2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            estimate_highdim(sample, s=8)
+        path = write_sample(sample, tmp_path / "sample.csv")
+        code = main(["estimate", "--regime", "high", "--s", "8", "--input", str(path)])
+        assert code == EXIT_NUMERIC and "did not converge" in capsys.readouterr().err
+        config = ExperimentConfig(seed=1, regime="high", n=[20], p_rule="2*n")
+        (record,) = run_trials(config)
+        assert record.error.startswith("ArithmeticError: sorted-L1 fit did not converge")
 
     def test_sparse_threshold_formula_locked(self):
         """threshold == alpha * sqrt(2) * sigma_hat * sqrt(log(1 + p/s^2) / n)."""

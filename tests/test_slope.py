@@ -81,10 +81,12 @@ def assert_prox_kkt(x, v, w):
 
 @st.composite
 def prox_inputs(draw, values):
-    """(v, w) of a common length 1..12 with w nonnegative and nonincreasing; v draws
-    from a short list of repeated values half the time, so ties are frequent."""
+    """(v, w) of a common length 1..12 with w nonnegative and nonincreasing.  Each
+    entry draws from `values`, from a short list of values that holds -0.0, or
+    repeats one value freshly drawn from `values`, so signed zeros and ties come
+    up on purpose in every collection, not by chance."""
     p = draw(st.integers(1, 12))
-    tied = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    tied = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), st.just(draw(values)))
     v = draw(st.lists(st.one_of(values, tied), min_size=p, max_size=p))
     w = draw(st.lists(st.one_of(values.map(abs), tied.map(abs)), min_size=p, max_size=p))
     return np.array(v), np.sort(w)[::-1]
