@@ -26,8 +26,7 @@ def statistic(est: FunctionalEstimate, s: int, p: int) -> float:
     """The scale-free statistic lambda_hat / (sigma_hat * rate), with the rate
     of the detection threshold: up to rounding, it reaches beta exactly when
     the detection rule rejects at beta."""
-    rate = pipeline.detection_threshold(1.0, 1.0, s, p, est.n_used)
-    return est.lambda_hat / (est.sigma_hat * rate)
+    return est.lambda_hat / pipeline.detection_threshold(1.0, est.sigma_hat, s, p, est.n_used)
 
 
 def calibrate_beta(

@@ -64,9 +64,9 @@ def eval_rule(expr: str, **variables) -> float:
     """Evaluate a small arithmetic rule such as ``"p = n/2"`` or
     ``"floor(sqrt(p))"`` over the supplied variables.
 
-    Only numbers, the named variables, +-*/ // % **, and
-    sqrt/floor/ceil/log/min/max are allowed; anything else, and a rule that
-    fails arithmetically or gives no finite number, raises ``ValueError``.
+    Only numbers, the named variables, +-*/ // % **, and sqrt/floor/ceil/log/min/max
+    are allowed, all in floats; anything else, and a rule that fails arithmetically
+    or gives no finite number, raises ``ValueError``.
     """
     body = expr.split("=", 1)[1] if "=" in expr else expr
     try:
@@ -78,10 +78,10 @@ def eval_rule(expr: str, **variables) -> float:
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return node.value
+            return float(node.value)
         if isinstance(node, ast.Name):
             if node.id in variables:
-                return variables[node.id]
+                return float(variables[node.id])
             raise ValueError(f"unknown variable {node.id!r} in rule {expr!r}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             value = ev(node.operand)
@@ -94,7 +94,7 @@ def eval_rule(expr: str, **variables) -> float:
             and node.func.id in _RULE_FUNCS
             and not node.keywords
         ):
-            return _RULE_FUNCS[node.func.id](*[ev(a) for a in node.args])
+            return float(_RULE_FUNCS[node.func.id](*[ev(a) for a in node.args]))
         raise ValueError(f"unsupported construct in rule {expr!r}")
 
     try:
@@ -442,10 +442,7 @@ def metric_points(records: list[TrialRecord], metric: str) -> list[tuple[int, fl
     for rec in records:
         if rec.error is None:
             by_n.setdefault(rec.n, []).append(rec)
-    pts = []
-    for n in sorted(by_n):
-        pts.append((n, float(np.mean([term(r) for r in by_n[n]]))))
-    return pts
+    return [(n, float(np.mean([term(r) for r in by_n[n]]))) for n in sorted(by_n)]
 
 
 def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float = 0.1) -> dict:

@@ -6,9 +6,9 @@ uniformly chosen coordinates while the null inflates its noise to match
 second moments; the resulting testing risk is controlled through the
 cross moment of two Gaussian likelihood ratios, whose prior average reduces
 to the moment generating function of the support-overlap count (a
-hypergeometric variable).  All formulas are evaluated exactly, in log space
-where counts get large.  :func:`signalnorm.model.sample_sparse_theta` draws
-from that prior.
+hypergeometric variable).  All formulas are evaluated exactly; the overlap pmf
+is built from its ratio between neighbouring counts, never from binomials.
+:func:`signalnorm.model.sample_sparse_theta` draws from that prior.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def chi2_cross(theta: np.ndarray, theta_prime: np.ndarray, N: int) -> float:
     return float((1.0 - ip) ** (-N))
 
 
-def _log_binom(a, b) -> np.ndarray:
-    from scipy.special import gammaln  # imported here to keep scipy out of package import
-    return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
+def _log_sum_exp(x: np.ndarray) -> float:
+    peak = x.max()
+    return float(peak + np.log(np.exp(x - peak).sum()))
 
 
 def hypergeometric_mgf_bound(p: int, s: int, N: int, tau: float) -> float:
@@ -83,14 +83,16 @@ def hypergeometric_mgf_bound(p: int, s: int, N: int, tau: float) -> float:
 
         E exp(2 N tau^2 H / s),   H = |support overlap| ~ Hypergeometric(p, s, s),
 
-    summed over h = max(0, 2s - p) .. s with log-space binomials.
+    summed over h = max(0, 2s - p) .. s.  The log-pmf is the cumulative sum of
+    log pmf(h+1)/pmf(h) = log((s-h)^2 / ((h+1)(p-2s+h+1))), less its own max-shifted
+    log-sum-exp, so no term near log Gamma(p) is formed and nothing cancels.
     """
-    from scipy.special import logsumexp
     if not 1 <= s <= p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={p}")
     h = np.arange(max(0, 2 * s - p), s + 1, dtype=float)
-    log_pmf = _log_binom(s, h) + _log_binom(p - s, s - h) - _log_binom(p, s)
-    log_mgf = float(logsumexp(2.0 * N * tau**2 * h / s + log_pmf))
+    log_ratio = np.log((s - h[:-1]) ** 2 / ((h[:-1] + 1.0) * (p - 2 * s + h[:-1] + 1.0)))
+    log_pmf = np.cumsum(np.concatenate(([0.0], log_ratio)))
+    log_mgf = _log_sum_exp(2.0 * N * tau**2 * h / s + log_pmf) - _log_sum_exp(log_pmf)
     if log_mgf > 700.0:  # exp would overflow; the value is effectively infinite
         return float("inf")
     return float(np.exp(log_mgf))

@@ -21,6 +21,8 @@ __all__ = ["estimate", "detect", "decide", "detection_threshold"]
 
 def detection_threshold(beta: float, sigma_hat: float, s: int, p: int, N: int) -> float:
     """Detection boundary beta * sigma_hat * sqrt(s * log(1 + sqrt(p)/s) / N)."""
+    if sigma_hat is None:
+        raise ValueError("the estimate carries no noise estimate (sigma_hat is None) to test with")
     return float(beta * sigma_hat * np.sqrt(lower_bounds.rate_sq(s, p, N)))
 
 

@@ -385,16 +385,22 @@ def test_zero_residuals_are_numeric_failures(tmp_path, capsys, regime, s, branch
 def test_import_does_not_load_scipy(tmp_path):
     """Every CLI process pays for what `import signalnorm.cli` loads: scipy.optimize
     alone measured about 0.2 s and 24 MB there, scipy.linalg 55 ms and
-    scipy.special most of the rest, so the package imports no scipy module;
-    the lower bounds load scipy.special when they run."""
+    scipy.special most of the rest.  The package needs no scipy at all: with
+    scipy blocked, the import loads no scipy module and `lower-bound` still runs."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    child = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import signalnorm.cli\n"
+        "print(*[name for name, mod in sys.modules.items() if mod is not None])\n"
+        f"sys.exit(signalnorm.cli.main(['lower-bound', *{LOWER_BOUND_ARGS['no-kappa']!r}]))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, signalnorm.cli; print(*sys.modules)"],
+        [sys.executable, "-c", child],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    loaded = proc.stdout.splitlines()[0].split()
     assert "signalnorm.slope" in loaded and "signalnorm.lower_bounds" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]

@@ -44,6 +44,12 @@ class TestEvalRule:
         with pytest.raises(ValueError):
             eval_rule("(lambda: 1)()")
 
+    def test_huge_power_fails_at_once(self):
+        """Rules compute in floats, so a power past the float range raises
+        OverflowError at once instead of building a big integer first."""
+        with pytest.raises(ValueError, match="failed"):
+            eval_rule("(n+1)**10**9", n=64)
+
     def test_non_integer_rule_rejected_in_grid(self):
         config = tiny_config(n=[15], p_rule="n/2")
         with pytest.raises(ValueError, match="non-integer"):

@@ -1,5 +1,6 @@
 """Tests for the closed-form detection/estimation limits and their oracles."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,34 @@ def brute_force_overlap_mgf(p, s, N, tau):
         for b in supports:
             total += np.exp(2.0 * N * tau**2 * len(sa & set(b)) / s)
     return total / len(supports) ** 2
+
+
+def exact_overlap_mgf(p, s, N, tau):
+    """E exp(c H), c = 2 N tau^2 / s, H ~ Hypergeometric(p, s, s), from big
+    integers: C(s, h) and C(p - s, s - h) start at math.comb and step over h by
+    their exact integer ratios, and math.fsum adds the terms.  Each term scales
+    its pmf by 2^k and its exponential by 2^-j, so neither under- nor overflows
+    before the one ldexp that puts them together."""
+    c = 2.0 * N * tau**2 / s
+    h0 = max(0, 2 * s - p)
+    a, b, total = math.comb(s, h0), math.comb(p - s, s - h0), math.comb(p, s)
+    terms = []
+    for h in range(h0, s + 1):
+        k = total.bit_length() - (a * b).bit_length()
+        j = math.floor(c * h / math.log(2))
+        terms.append(math.ldexp((a * b << k) / total * math.exp(c * h - j * math.log(2)), j - k))
+        a, b = a * (s - h) // (h + 1), b * (s - h) // (p - 2 * s + h + 1)
+    return math.fsum(terms)
+
+
+# (p, s, c) with the tilt c = 2 N tau^2 / s per unit of overlap: s = isqrt(p) is
+# the boundary sparsity, and s > p/2 starts the sum at h = 2s - p > 0.
+EXACT_MGF_GRID = [
+    (p, s, c)
+    for p in (10, 10**3, 10**5, 10**7)
+    for s in (1, 2, math.isqrt(p))
+    for c in (0.05, 1.0, 5.0)
+] + [(10, 7, 0.05), (10, 7, 1.0), (1000, 600, 0.05), (1000, 600, 1.0)]
 
 
 class TestTauFromRho:
@@ -85,7 +114,9 @@ class TestHypergeometricMgf:
         assert hypergeometric_mgf_bound(4, 2, 1, np.sqrt(0.5)) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_tau(self):
-        assert hypergeometric_mgf_bound(50, 5, 100, 0.0) == pytest.approx(1.0)
+        # the pmf is normalized against its own sum, so tau = 0 gives exactly 1
+        for p, s in ((50, 5), (10, 7), (10**7, 3162)):
+            assert hypergeometric_mgf_bound(p, s, 100, 0.0) == 1.0
 
     def test_matches_brute_force_enumeration(self):
         assert hypergeometric_mgf_bound(6, 2, 5, 0.4) == pytest.approx(
@@ -95,12 +126,22 @@ class TestHypergeometricMgf:
     def test_large_dimensions_stable(self):
         value = hypergeometric_mgf_bound(10**4, 50, 10**5, 0.01)
         assert np.isfinite(value) and value >= 1.0
+        # a log-MGF above 700 reads as inf, with no overflow warning
+        assert hypergeometric_mgf_bound(4, 2, 1000, 0.9) == np.inf
+
+    @pytest.mark.parametrize("p, s, c", EXACT_MGF_GRID)
+    def test_matches_exact_reference(self, p, s, c):
+        N = 1000
+        tau = math.sqrt(c * s / (2 * N))
+        assert hypergeometric_mgf_bound(p, s, N, tau) == pytest.approx(
+            exact_overlap_mgf(p, s, N, tau), rel=1e-10
+        )
 
 
 class TestBayesRiskBound:
     def test_zero_tau_degenerate(self):
-        # sqrt amplifies the ~1e-16 rounding in the MGF to ~1e-8
-        assert bayes_testing_risk_bound(10, 2, 5, 0.0) == pytest.approx(1.0, abs=1e-7)
+        # the MGF at tau = 0 is exactly 1, so no risk is lost to rounding
+        assert bayes_testing_risk_bound(10, 2, 5, 0.0) == 1.0
 
     def test_clamped_at_zero(self):
         assert bayes_testing_risk_bound(4, 2, 1000, 0.9) == 0.0

@@ -18,6 +18,7 @@ from signalnorm import (
     synthesize,
 )
 from signalnorm.calibration import statistic
+from signalnorm.pipeline import decide
 
 # (N, p, s) per regime, one shape on each branch: sparse when s^2 <= p.
 SHAPES = {
@@ -114,6 +115,18 @@ def test_alpha_and_beta_must_be_positive_in_both_regimes():
             detect(low, 3, "low", beta=bad)
         with pytest.raises(ValueError, match="beta"):
             detect(high, 8, "high", beta=bad)
+
+
+def test_estimate_without_noise_estimate_cannot_be_tested():
+    """prelim="zero" fits nothing, so its estimate has sigma_hat None: the
+    detection rule and the null statistic both refuse it by name."""
+    sample = synthesize(ModelSpec(theta=np.zeros(9), sigma=1.0), Dimensions(N=30, p=9, s=2), 11)
+    est = estimate_highdim(sample, 2, prelim="zero")
+    assert est.sigma_hat is None
+    with pytest.raises(ValueError, match="no noise estimate"):
+        decide(est, 2, 9, 1.0)
+    with pytest.raises(ValueError, match="no noise estimate"):
+        statistic(est, 2, 9)
 
 
 def test_unknown_regime():
