@@ -149,10 +149,12 @@ class ExperimentConfig:
         for name in ("n", "sigma", "magnitude"):
             if not getattr(self, name):
                 raise ValueError(f"{name} grid is empty")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if min(self.n) < 2:  # each split block needs 2 rows for the pair sum
+            raise ValueError(f"every n entry must be >= 2, got {self.n}")
+        for name in ("alpha", "beta", "c1"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.calib_trials < 1:
@@ -205,35 +207,34 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def grid_points(self) -> list[dict]:
-        """Expand the grid: one point per (n, sigma, magnitude) combination."""
+        """Expand the grid: one point per (n, sigma, magnitude) combination.
+        Each point also fixes the regime its trials run ("auto" picks low iff
+        p <= n/2) and `n_used`, the rows they draw and consume, parts * n."""
         fp = self.fingerprint()
         points = []
-        idx = 0
-        for n in self.n:
+        for n in map(int, self.n):
             p = _rule_int(self.p_rule, 2, None, n=n)
             s = _rule_int(self.s_rule, 1, p, n=n, p=p)
+            regime = self.regime
+            if regime == "auto":
+                regime = "low" if p <= n // 2 else "high"
+            shared = {"n": n, "p": p, "s": s, "regime": regime,
+                      "n_used": split_parts(regime, s, p) * n}
             for sigma in self.sigma:
                 for magnitude in self.magnitude:
-                    points.append(
-                        {
-                            "config_id": f"{fp}:{idx}",
-                            "index": idx,
-                            "n": int(n),
-                            "p": p,
-                            "s": s,
-                            "sigma": float(sigma),
-                            "magnitude": float(magnitude),
-                        }
-                    )
-                    idx += 1
+                    idx = len(points)
+                    points.append({"config_id": f"{fp}:{idx}", "index": idx, **shared,
+                                   "sigma": float(sigma), "magnitude": float(magnitude)})
         return points
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialRecord:
     """One Monte Carlo replication: one ``records.csv`` row, with errors
     recomputable from its fields.  A record without an error tag holds all
-    four estimates (`q_hat`, `lambda_hat`, `err_q`, `err_lambda`)."""
+    four estimates (`q_hat`, `lambda_hat`, `err_q`, `err_lambda`).  `n_used`
+    is the row budget of its grid point, parts * n: the N of its detection
+    threshold and of its reference rates."""
 
     config_id: str
     seed: int
@@ -248,6 +249,7 @@ class TrialRecord:
     err_q: float | None = None
     err_lambda: float | None = None
     error: str | None = None
+    n_used: int
 
     @property
     def true_lambda(self) -> float:
@@ -286,6 +288,7 @@ def run_single_trial(
     A detect task without a configured beta takes it from `betas`, the betas
     by n that the caller keeps across trials, or calibrates it into them."""
     n, p, s = point["n"], point["p"], point["s"]
+    regime, n_used = point["regime"], point["n_used"]
     sigma, magnitude = point["sigma"], point["magnitude"]
     ss = np.random.SeedSequence(trial_seed)
     ss_theta, ss_sample = ss.spawn(2)
@@ -293,14 +296,10 @@ def run_single_trial(
         p, s, magnitude, pattern=config.pattern, rng=np.random.default_rng(ss_theta)
     )
     record = TrialRecord(config_id=point["config_id"], seed=trial_seed, n=n, p=p, s=s,
-                         sigma=sigma, true_q=float(theta @ theta))
-    regime = config.regime
-    if regime == "auto":
-        regime = "low" if p <= n // 2 else "high"
+                         sigma=sigma, true_q=float(theta @ theta), n_used=n_used)
     try:
         spec = ModelSpec(theta=theta, sigma=sigma, design=config.design, noise=config.noise)
-        dims = Dimensions(N=split_parts(regime, s, p) * n, p=p, s=s)
-        sample = synthesize(spec, dims, ss_sample)
+        sample = synthesize(spec, Dimensions(N=n_used, p=p, s=s), ss_sample)
         est = pipeline.estimate(sample, s, regime, config.alpha, config.c1)
         record.q_hat = est.q_hat
         record.lambda_hat = est.lambda_hat
@@ -310,7 +309,7 @@ def run_single_trial(
             beta = config.beta if config.beta is not None else betas.get(n)
             if beta is None:
                 beta = betas[n] = calibration.calibrate_beta(
-                    p=p, N=est.n_used, s=s, delta=config.delta, regime=regime, alpha=config.alpha,
+                    p=p, N=n_used, s=s, delta=config.delta, regime=regime, alpha=config.alpha,
                     c1=config.c1, trials=config.calib_trials, seed=config.seed,
                 )
             record.decision = pipeline.decide(est, s, p, beta)[0]
@@ -325,7 +324,7 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     Trial seeds depend only on (config seed, grid index, replication index),
     so any execution order yields the same multiset of records.  A detect
     task calibrates beta once per n, on the first trial whose estimate
-    succeeds; p, s, the rows used and the regime are functions of n.
+    succeeds; p, s, the regime and the rows used are functions of n.
     """
     betas: dict = {}  # only successful calibrations: a failing one tags each trial
     records = []
@@ -358,27 +357,29 @@ def fit_rate(points) -> RateFit:
     )
 
 
+def _groups(records: list[TrialRecord], key) -> list[list[TrialRecord]]:
+    """The records grouped by ``key(record)``, groups and members in first-seen order."""
+    groups: dict = {}
+    for rec in records:
+        groups.setdefault(key(rec), []).append(rec)
+    return list(groups.values())
+
+
 def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
     """Per-grid-point aggregates: mean/median errors, upper-delta quantiles of
     absolute errors, rejection rates, and empirical/theoretical risk ratios.
 
-    Trials with an error tag are counted and excluded from the statistics.
+    Points follow the records' order, which :func:`run_trials` makes the grid
+    order.  The reference rates are taken at each point's row budget
+    `n_used`.  Trials with an error tag are counted and excluded from the
+    statistics.
     """
-    by_point: dict = {}
-    for rec in records:
-        by_point.setdefault(rec.config_id, []).append(rec)
-
-    def _grid_index(config_id: str):
-        tail = config_id.rsplit(":", 1)[-1]
-        return (0, int(tail)) if tail.isdigit() else (1, config_id)
-
     points = []
-    for config_id in sorted(by_point, key=_grid_index):
-        group = by_point[config_id]
+    for group in _groups(records, lambda r: r.config_id):
         ok = [r for r in group if r.error is None]
         rec0 = group[0]
         entry = {
-            "config_id": config_id,
+            "config_id": rec0.config_id,
             "n": rec0.n,
             "p": rec0.p,
             "s": rec0.s,
@@ -401,14 +402,14 @@ def summarize(records: list[TrialRecord], delta: float = 0.1) -> dict:
                     "abs_err_lambda_upper_quantile": float(np.quantile(np.abs(err_l), 1 - delta)),
                 }
             )
-            n_eff = 2 * rec0.n  # reference scaling uses the 2-split budget
-            base = lower_bounds.rate_sq(rec0.s, rec0.p, n_eff)  # psi^2; rates with constants 1
+            base = lower_bounds.rate_sq(rec0.s, rec0.p, rec0.n_used)  # psi^2, constants 1
             phi = float(rec0.sigma * np.sqrt(base))
             entry["theoretical_phi"] = phi
             entry["ratio_lambda_mse_to_phi_sq"] = (
                 entry["mse_lambda"] / phi**2 if phi > 0 else None
             )
-            q_rate = lower_bounds.q_lower_bound(rec0.p, n_eff, rec0.s, rec0.sigma, rec0.true_lambda)
+            q_rate = lower_bounds.q_lower_bound(rec0.p, rec0.n_used, rec0.s, rec0.sigma,
+                                                rec0.true_lambda)
             entry["theoretical_q"] = q_rate
             entry["ratio_q_mse_to_rate_sq"] = entry["mse_q"] / q_rate**2 if q_rate > 0 else None
             decisions = [r.decision for r in ok if r.decision is not None]
@@ -438,11 +439,8 @@ def metric_points(records: list[TrialRecord], metric: str) -> list[tuple[int, fl
         term = _METRIC_TERMS[metric]
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}") from None
-    by_n: dict = {}
-    for rec in records:
-        if rec.error is None:
-            by_n.setdefault(rec.n, []).append(rec)
-    return [(n, float(np.mean([term(r) for r in by_n[n]]))) for n in sorted(by_n)]
+    groups = _groups([r for r in records if r.error is None], lambda r: r.n)
+    return sorted((g[0].n, float(np.mean([term(r) for r in g]))) for g in groups)
 
 
 def report(records: list[TrialRecord], out_dir: str | Path = ".", delta: float = 0.1) -> dict:

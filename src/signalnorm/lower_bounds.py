@@ -134,9 +134,9 @@ def q_lower_bound(p: int, N: int, s: int, sigma: float, kappa: float) -> float:
         min( sigma^2 min(s log(1 + sqrt(p)/s) / N, 1) + sigma kappa / sqrt(N),
              kappa^2 ).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not 0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     rate = min(rate_sq(s, p, N), 1.0)
     return float(min(sigma**2 * rate + sigma * kappa / np.sqrt(N), kappa**2))

@@ -104,8 +104,8 @@ class ModelSpec:
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         if self.theta.ndim != 1:
             raise ValueError("theta must be a 1-d vector")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.design not in DESIGN_LAWS:
             raise ValueError(f"unknown design law {self.design!r}")
         if self.noise not in NOISE_LAWS:

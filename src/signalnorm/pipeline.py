@@ -47,8 +47,8 @@ def decide(est: FunctionalEstimate, s: int, p: int, beta: float) -> tuple[int, f
     """The detection rule applied to an estimate at the constant `beta`:
     ``(decision, threshold)``, with decision 1 when the norm estimate reaches
     the threshold."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     threshold = detection_threshold(beta, est.sigma_hat, s, p, est.n_used)
     return int(est.lambda_hat >= threshold), threshold
 

@@ -109,8 +109,8 @@ def split_parts(regime: str, s: int, p: int) -> int:
 def sparse_threshold(sigma_hat: float, diag, alpha: float, p: int, s: int) -> np.ndarray:
     """Per-coordinate selection threshold alpha * sigma_hat * sqrt(M_jj * log(1 + p/s^2)),
     given the length-p diagonal M_jj of the threshold matrix."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if sigma_hat <= 0:
         raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
     if s < 1:
@@ -152,8 +152,8 @@ def quadratic_stage(
     collapse both the selection and the detection threshold to 0, raises
     ``ArithmeticError``; ``sigma_hat=None`` (no preliminary fit) is allowed.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if sigma_hat == 0:
         raise ArithmeticError("noise estimate sigma_hat is 0: the preliminary fit left no residual")
     p = X2.shape[1]

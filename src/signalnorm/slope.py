@@ -52,8 +52,8 @@ def slope_weights(p: int, n: int, c1: float = 1.5) -> np.ndarray:
     (natural log)."""
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
-    if c1 <= 0:
-        raise ValueError(f"c1 must be positive, got {c1}")
+    if not 0 < c1 < np.inf:
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
     j = np.arange(1, p + 1, dtype=float)
     return c1 * np.sqrt(np.log(2.0 * p / j) / n)
 

@@ -275,7 +275,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
     for key, value in (("alpha", -1.0), ("beta", 0.0), ("delta", 1.5), ("calib_trials", 0),
                        ("sigma", [-1.0]), ("sigma", ["a"]), ("design", "bogus"),
                        ("noise", "bogus"), ("replications", "3"), ("sigma", [None]),
-                       ("sigma", []), ("magnitude", [])):
+                       ("sigma", []), ("magnitude", []), ("alpha", float("nan")),
+                       ("alpha", float("inf")), ("beta", float("nan")), ("c1", -1.0),
+                       ("c1", float("nan")), ("sigma", [float("nan")])):
         bad3 = tmp_path / f"bad-{key}.json"
         bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
         code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])
@@ -293,6 +295,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
                  ["detect", "--c1", "2.0", "--beta", "1.0"]):
         code = main([*argv, "--regime", "low", "--s", "1", "--input", str(good_csv)])
         assert code == EXIT_CONFIG and "regime high only" in capsys.readouterr().err, argv
+    # non-finite tuning constants, rather than a NaN threshold or decision
+    for argv, named in ((["estimate", "--regime", "low", "--s", "1", "--alpha", "nan"], "alpha"),
+                        (["estimate", "--regime", "low", "--s", "1", "--alpha", "inf"], "alpha"),
+                        (["detect", "--regime", "low", "--s", "1", "--beta", "nan"], "beta"),
+                        (["slope-fit", "--c1", "nan"], "c1")):
+        code = main([*argv, "--input", str(good_csv)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == "", argv
+        assert f"{named} must be finite and positive" in captured.err, argv
+    for extra in (["--kappa", "nan"], ["--kappa", "1.0", "--sigma", "nan"]):
+        code = main(["lower-bound", "--p", "100", "--N", "400", "--s", "5", "--delta", "0.5",
+                     *extra])
+        assert code == EXIT_CONFIG and "must be finite" in capsys.readouterr().err, extra
     # a NaN in the sample, in either regime
     nan_csv = tmp_path / "nan.csv"
     rows = [f"{i},{i % 3},1.5" for i in range(12)] + ["nan,1,2"]
@@ -316,6 +331,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
         (json.dumps({"seed": 1, "p_rule": "1e308*10"}), "rule '1e308*10'"),
         (json.dumps({"seed": 1, "s_rule": "min()"}), "rule 'min()'"),
         (json.dumps({"seed": 1, "p_rule": "(-1)**0.5"}), "rule '(-1)**0.5'"),
+        (json.dumps({"seed": 1, "n": [0, -4], "p_rule": "4", "s_rule": "1"}),
+         "every n entry must be >= 2"),
     )):
         cfg = tmp_path / f"cfg-{i}.json"
         cfg.write_text(text)
@@ -326,20 +343,31 @@ def test_exit_code_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad_row,match", [
     ("c:1,2,32,8,2,1.0", "line 4 is not as wide as the header"),
-    ("c:1,2,32,8,2,1.0,0.0,0.05,0.2,,0.05,,", "line 4 has no error tag but misses an estimate"),
-    ("c:1,,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,",
+    ("c:1,2,32,8,2,1.0,0.0,0.05,0.2,,0.05,,,64", "line 4 has no error tag but misses an estimate"),
+    ("c:1,,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,,64",
      "line 4, column seed: invalid literal for int() with base 10: ''"),
 ], ids=["short-row", "no-error-tag-empty-err-lambda", "empty-seed"])
 def test_rates_rejects_bad_records(tmp_path, capsys, bad_row, match):
     """A cut-short row, a row without an error tag that misses an estimate, and a
     cell that does not parse exit 2 with the file and line named (and the column
     of the cell), rather than with a TypeError traceback."""
-    rows = ["c:0,1,16,4,2,1.0,0.0,0.1,0.3,,0.1,0.3,", "c:0,2,16,4,2,1.0,0.0,0.2,0.4,,0.2,0.4,",
-            bad_row, "c:1,3,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,"]
+    rows = ["c:0,1,16,4,2,1.0,0.0,0.1,0.3,,0.1,0.3,,32",
+            "c:0,2,16,4,2,1.0,0.0,0.2,0.4,,0.2,0.4,,32",
+            bad_row, "c:1,3,32,8,2,1.0,0.0,0.05,0.2,,0.05,0.2,,64"]
     path = tmp_path / "records.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     code = main(["rates", "--from", str(path)])
     assert code == EXIT_CONFIG and f"{path}: {match}" in capsys.readouterr().err
+
+
+def test_rates_rejects_records_without_n_used(tmp_path, capsys):
+    """A `records.csv` written before rows carried their row budget has no
+    `n_used` column; it is rejected rather than read at a guessed budget."""
+    path = tmp_path / "records.csv"
+    old_columns = [c for c in CSV_COLUMNS if c != "n_used"]
+    path.write_text(",".join(old_columns) + "\n" + "c:0,1,16,4,2,1.0,0.0,0.1,0.3,,0.1,0.3,\n")
+    code = main(["rates", "--from", str(path)])
+    assert code == EXIT_CONFIG and f"{path}: missing columns ['n_used']" in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from signalnorm import (
-    ExperimentConfig, TrialRecord, calibration, fit_rate, report, run_trials, summarize,
+    ExperimentConfig, TrialRecord, calibration, fit_rate, pipeline, report, run_trials, summarize,
 )
 from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
 from signalnorm.lower_bounds import q_lower_bound, rate_sq
@@ -70,6 +70,14 @@ class TestConfig:
             tiny_config(task="classify")
         with pytest.raises(ValueError):
             tiny_config(regime="medium")
+
+    def test_grid_points_fix_regime_and_rows(self):
+        """The "auto" regime is low iff p <= n/2, and each point's row budget is
+        parts * n: 3n on the sparse branch of the high regime, else 2n."""
+        low = tiny_config(regime="auto", n=[16], p_rule="n/2").grid_points()[0]
+        high = tiny_config(regime="auto", n=[16], p_rule="n").grid_points()[0]
+        assert (low["regime"], low["s"], low["n_used"]) == ("low", 2, 32)
+        assert (high["regime"], high["s"], high["n_used"]) == ("high", 4, 48)
 
     def test_grid_cardinality(self):
         config = tiny_config(sigma=[0.5, 1.0], magnitude=[0.0, 1.0])
@@ -142,6 +150,29 @@ class TestRunTrials:
                  for point in config.grid_points() for rep in range(config.replications)]
         assert alone == records
 
+    @pytest.mark.parametrize("overrides, parts", [
+        (dict(regime="low", p_rule="n/4", s_rule="1"), 2),
+        (dict(regime="high", p_rule="2*n", s_rule="2"), 3),
+        (dict(regime="high", p_rule="n", s_rule="p"), 2),
+    ], ids=["low", "high-sparse", "high-dense"])
+    def test_record_n_used_is_the_rows_estimated(self, monkeypatch, overrides, parts):
+        """Every trial draws `n_used` rows and its estimate consumes them all:
+        2n in the low regime and on the dense branch, 3n on the sparse one."""
+        seen = []
+        real = pipeline.estimate
+
+        def recording(sample, *args, **kwargs):
+            est = real(sample, *args, **kwargs)
+            seen.append((est.n_used, sample.N))
+            return est
+
+        monkeypatch.setattr(pipeline, "estimate", recording)
+        records = run_trials(tiny_config(n=[16, 24], magnitude=[1.0], **overrides))
+        assert len(seen) == len(records) == 4
+        for (est_n_used, sample_N), rec in zip(seen, records):
+            assert rec.error is None
+            assert est_n_used == sample_N == rec.n_used == parts * rec.n
+
     def test_failing_calibration_tags_every_detect_trial(self, monkeypatch):
         """A calibration that raises is not kept: every trial whose estimate
         succeeded calls it again and carries its message."""
@@ -182,13 +213,16 @@ class TestFitRate:
 
 
 class TestTheoreticalRate:
-    """The reference rates `summarize` reports, with N = 2n rows."""
+    """The reference rates `summarize` reports, at the record's row budget
+    `n_used` = N.  The records here have n = N/3, as on the sparse branch of
+    the high regime, so a rate taken at 2n would miss the expected values."""
 
     @staticmethod
     def _rates(p, N, s, sigma, kappa):
-        """(theoretical_phi, theoretical_q) of one grid point with n = N/2."""
-        rec = TrialRecord("x:0", 0, N // 2, p, s, sigma, kappa**2,
-                          q_hat=kappa**2, lambda_hat=kappa, err_q=0.0, err_lambda=0.0)
+        """(theoretical_phi, theoretical_q) of one grid point with n_used = N rows."""
+        rec = TrialRecord(config_id="x:0", seed=0, n=N // 3, p=p, s=s, sigma=sigma,
+                          true_q=kappa**2, q_hat=kappa**2, lambda_hat=kappa, err_q=0.0,
+                          err_lambda=0.0, n_used=N)
         point = summarize([rec])["points"][0]
         return point["theoretical_phi"], point["theoretical_q"]
 
@@ -236,7 +270,8 @@ class TestReport:
         """A cell holding a comma, a double quote or a newline is quoted, so its
         row keeps the header's width and reads back unchanged."""
         records = run_trials(tiny_config(magnitude=[0.5]))
-        records[1] = TrialRecord(records[1].config_id, records[1].seed, 16, 4, 2, 1.0, 0.25,
+        records[1] = TrialRecord(config_id=records[1].config_id, seed=records[1].seed, n=16, p=4,
+                                 s=2, sigma=1.0, true_q=0.25, n_used=32,
                                  error='ValueError: need n > p, got n=16, p=16; "a"\nb')
         paths = report(records, out_dir=tmp_path)
         assert read_records(paths["records"]) == records

@@ -106,7 +106,7 @@ def test_alpha_and_beta_must_be_positive_in_both_regimes():
     low = synthesize(ModelSpec(theta=np.zeros(4), sigma=1.0), Dimensions(N=40, p=4, s=3), 1)
     high = synthesize(ModelSpec(theta=np.zeros(30), sigma=1.0), Dimensions(N=40, p=30, s=8), 2)
     # s = 3 > sqrt(4) and s = 8 > sqrt(30): alpha is checked on the dense branch too
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha"):
             estimate_lowdim(low, 3, alpha=bad)
         with pytest.raises(ValueError, match="alpha"):

@@ -178,6 +178,7 @@ class TestQSparse:
 
     def test_threshold_scale_checked(self):
         for args, match in (((1.0, np.ones(2), -1.0, 2, 1), "alpha"),
+                            ((1.0, np.ones(2), np.nan, 2, 1), "alpha"),
                             ((0.0, np.ones(2), 1.0, 2, 1), "sigma_hat"),
                             ((1.0, np.ones(2), 1.0, 2, 0), "s must")):
             with pytest.raises(ValueError, match=match):
