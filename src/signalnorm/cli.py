@@ -48,30 +48,32 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output CSV path")
 
-    est = sub.add_parser("estimate", help="estimate the signal norm and squared norm")
+    # estimate, detect and slope-fit pass on only the flags given (see _given)
+    forward = {"argument_default": argparse.SUPPRESS}
+    est = sub.add_parser("estimate", help="estimate the signal norm and squared norm", **forward)
     est.add_argument("--regime", required=True, choices=["low", "high"])
     est.add_argument("--s", type=int, required=True)
-    est.add_argument("--alpha", type=float, default=4.0)
-    est.add_argument("--c1", type=float, help="high regime only (default 1.5)")
+    est.add_argument("--alpha", type=float)
+    est.add_argument("--c1", type=float, help="high regime only")
     est.add_argument("--prelim", choices=["srs", "zero"],
-                     help="high regime only: 'zero' skips the preliminary fit (default 'srs')")
+                     help="high regime only: 'zero' skips the preliminary fit")
     est.add_argument("--input", required=True, help="sample CSV")
 
-    det = sub.add_parser("detect", help="test whether the signal is null")
+    det = sub.add_parser("detect", help="test whether the signal is null", **forward)
     det.add_argument("--regime", required=True, choices=["low", "high"])
     det.add_argument("--s", type=int, required=True)
-    det.add_argument("--alpha", type=float, default=4.0)
-    det.add_argument("--c1", type=float, help="high regime only (default 1.5)")
-    det.add_argument("--beta", type=float, default=None, help="test constant; omit to calibrate")
-    det.add_argument("--delta", type=float, default=0.1, help="target level for calibration")
-    det.add_argument("--calib-trials", type=int, default=2000)
-    det.add_argument("--calib-seed", type=int, default=0)
+    det.add_argument("--alpha", type=float)
+    det.add_argument("--c1", type=float, help="high regime only")
+    det.add_argument("--beta", type=float, help="test constant; omit to calibrate")
+    det.add_argument("--delta", type=float, help="target level for calibration")
+    det.add_argument("--calib-trials", type=int)
+    det.add_argument("--calib-seed", type=int)
     det.add_argument("--input", required=True)
 
-    slp = sub.add_parser("slope-fit", help="square-root sorted-L1 regression fit")
-    slp.add_argument("--c1", type=float, default=1.5)
-    slp.add_argument("--max-iter", type=int, default=10000)
-    slp.add_argument("--tol", type=float, default=1e-8)
+    slp = sub.add_parser("slope-fit", help="square-root sorted-L1 regression fit", **forward)
+    slp.add_argument("--c1", type=float)
+    slp.add_argument("--max-iter", type=int)
+    slp.add_argument("--tol", type=float)
     slp.add_argument("--input", required=True)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a JSON config")
@@ -106,38 +108,35 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _high_regime_options(args) -> dict:
-    """The high-regime-only options given on the command line; the low regime,
-    which would ignore them, rejects them."""
-    given = {k: v for k in ("c1", "prelim") if (v := getattr(args, k, None)) is not None}
-    if given and args.regime == "low":
-        flags = ", ".join(f"--{k}" for k in given)
-        raise ValueError(f"{flags}: for --regime high only")
+def _given(args) -> dict:
+    """The options given on the command line, as keyword arguments of the library
+    call, so a flag left out takes the library's default; the low regime, which
+    would ignore the high-regime-only ones, rejects them."""
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "input")}
+    high_only = [f"--{k}" for k in ("c1", "prelim") if k in given]
+    if high_only and given.get("regime") == "low":
+        raise ValueError(f"{', '.join(high_only)}: for --regime high only")
     return given
 
 
 def _cmd_estimate(args) -> int:
-    options = _high_regime_options(args)
-    sample = read_sample(args.input)
-    est = pipeline.estimate(sample, args.s, args.regime, args.alpha, **options)
+    given = _given(args)
+    est = pipeline.estimate(read_sample(args.input), **given)
     print(json.dumps(asdict(est)))
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
-    options = _high_regime_options(args)
-    sample = read_sample(args.input)
-    decision, lambda_hat, threshold, _ = pipeline.detect(
-        sample, args.s, args.regime, args.alpha, args.beta,
-        delta=args.delta, calib_trials=args.calib_trials, calib_seed=args.calib_seed, **options,
-    )
+    given = _given(args)
+    decision, lambda_hat, threshold, _ = pipeline.detect(read_sample(args.input), **given)
     print(json.dumps({"decision": decision, "lambda_hat": lambda_hat, "threshold": threshold}))
     return EXIT_OK
 
 
 def _cmd_slope_fit(args) -> int:
+    given = _given(args)
     sample = read_sample(args.input)
-    fit = sqrt_slope_fit(sample.X, sample.Y, c1=args.c1, max_iter=args.max_iter, tol=args.tol)
+    fit = sqrt_slope_fit(sample.X, sample.Y, **given)
     print(json.dumps({**asdict(fit), "theta_hat": fit.theta_hat.tolist()}))
     return EXIT_OK
 
@@ -160,8 +159,7 @@ def _cmd_rates(args) -> int:
 def _cmd_lower_bound(args) -> int:
     bundle = lower_bounds.minimax_testing_lower_radius(args.p, args.N, args.s, args.delta)
     tau = lower_bounds.tau_from_rho(bundle.r)
-    s_prior = min(args.s, int(np.floor(np.sqrt(args.p))))
-    mgf = lower_bounds.hypergeometric_mgf_bound(args.p, s_prior, args.N, tau)
+    mgf = lower_bounds.hypergeometric_mgf_bound(args.p, bundle.s_prior, args.N, tau)
     q_bar = (
         lower_bounds.q_lower_bound(args.p, args.N, args.s, args.sigma, args.kappa)
         if args.kappa is not None
@@ -173,7 +171,8 @@ def _cmd_lower_bound(args) -> int:
         "rho": bundle.rho,
         "q_bar": q_bar,
         "mgf": mgf,
-        "bayes_risk_bound": lower_bounds.bayes_testing_risk_bound(args.p, s_prior, args.N, tau),
+        "bayes_risk_bound": lower_bounds.bayes_testing_risk_bound(
+            args.p, bundle.s_prior, args.N, tau),
     }))
     return EXIT_OK
 

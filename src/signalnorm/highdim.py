@@ -40,10 +40,7 @@ def estimate_highdim(
     if not 1 <= s <= p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={p}")
     if prelim == "zero":
-        return quadratic_stage(
-            np.zeros(p), None, sample.X, sample.Y, s, alpha, None,
-            regime="high", n_per_split=sample.N, parts=1,
-        )
+        return quadratic_stage(np.zeros(p), None, sample.X, sample.Y, s, alpha, None, "high", 1)
     if prelim != "srs":
         raise ValueError(f"unknown preliminary {prelim!r}; expected 'srs' or 'zero'")
 
@@ -62,7 +59,4 @@ def estimate_highdim(
         # around theta, hence the inflated scale and the diagonal 1/n.
         scale = np.sqrt(2.0) * fit.sigma_hat
         screening = (debias(fit.theta_hat, X3, Y3), scale, np.full(p, 1.0 / n))
-    return quadratic_stage(
-        fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
-        regime="high", n_per_split=n, parts=parts,
-    )
+    return quadratic_stage(fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening, "high", parts)

@@ -88,7 +88,4 @@ def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> Fun
     (X1, Y1), (X2, Y2) = split_sample(sample, 2)
     fit = ols_fit(X1, Y1)
     screening = (fit.theta_hat, fit.sigma_hat, fit.gram_inverse_diag)
-    return quadratic_stage(
-        fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening,
-        regime="low", n_per_split=X1.shape[0], parts=2,
-    )
+    return quadratic_stage(fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening, "low", 2)

@@ -30,11 +30,13 @@ __all__ = [
 
 
 class RadiusBundle(NamedTuple):
-    """User-facing radius rho, reduction radius r, and the constant A."""
+    """User-facing radius rho, reduction radius r, the constant A, and the prior
+    sparsity s' = min(s, floor(sqrt(p))) at which r is computed."""
 
     rho: float
     r: float
     A: float
+    s_prior: int
 
 
 def rate_sq(s: int, p: int, N: int) -> float:
@@ -112,7 +114,8 @@ def minimax_testing_lower_radius(p: int, N: int, s: int, delta: float) -> Radius
     rho = A min(sqrt(s log(1 + sqrt(p)/s) / N), 1) at the given s, while the
     reduction radius r = A min(sqrt(s' log(1 + p/s'^2) / N), 1) replaces s by
     s' = min(s, floor(sqrt(p))) (sparsities above sqrt(p) reduce to that
-    boundary).  The two use different logarithms and are never conflated.
+    boundary), returned as ``s_prior`` for the overlap MGF and risk bound at r.
+    The two radii use different logarithms and are never conflated.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -122,9 +125,9 @@ def minimax_testing_lower_radius(p: int, N: int, s: int, delta: float) -> Radius
         raise ValueError(f"N must be >= 1, got {N}")
     A = float(np.sqrt(0.5 * np.log((1.0 - delta) ** 2 + 1.0)))
     rho = A * min(np.sqrt(rate_sq(s, p, N)), 1.0)
-    s_trunc = min(s, int(np.floor(np.sqrt(p))))
-    r = A * min(np.sqrt(s_trunc * np.log1p(p / s_trunc**2) / N), 1.0)
-    return RadiusBundle(rho=float(rho), r=float(r), A=A)
+    s_prior = min(s, int(np.floor(np.sqrt(p))))
+    r = A * min(np.sqrt(s_prior * np.log1p(p / s_prior**2) / N), 1.0)
+    return RadiusBundle(rho=float(rho), r=float(r), A=A, s_prior=s_prior)
 
 
 def q_lower_bound(p: int, N: int, s: int, sigma: float, kappa: float) -> float:

@@ -179,8 +179,8 @@ def sample_sparse_theta(
     """
     if not 1 <= s <= p:
         raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={p}")
-    if magnitude < 0:
-        raise ValueError(f"magnitude must be >= 0, got {magnitude}")
+    if not 0 <= magnitude < np.inf:
+        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
     if pattern not in ("equal", "random-signs"):
         raise ValueError(f"unknown pattern {pattern!r}")
     support = rng.choice(p, size=s, replace=False)

@@ -28,20 +28,21 @@ __all__ = [
 class FunctionalEstimate:
     """An estimate of the squared norm and the norm, with branch metadata.
 
-    The sample's first ``parts * n_per_split`` rows were used in blocks of
-    ``n_per_split``: block 0 alone feeds the quadratic stage when ``parts`` is
-    1; with 2, block 0 the preliminary fit and block 1 the quadratic stage;
-    with 3, block 2 also feeds the debiased screening vector.
+    :func:`quadratic_stage` sets every field.  The sample's first
+    ``parts * n_per_split`` rows were used in blocks of ``n_per_split``: block 0
+    alone feeds the quadratic stage when ``parts`` is 1; with 2, block 0 the
+    preliminary fit and block 1 the quadratic stage; with 3, block 2 also feeds
+    the debiased screening vector.
     """
 
     q_hat: float
     lambda_hat: float
-    sigma_hat: float | None = None
-    branch: str = "dense"  # "dense" | "sparse"
-    regime: str = "low"  # "low" | "high"
-    n_per_split: int | None = None
-    parts: int | None = None
-    threshold: float | None = None  # largest per-coordinate selection threshold
+    sigma_hat: float | None  # None when there is no preliminary fit
+    branch: str  # "dense" | "sparse"
+    regime: str  # "low" | "high"
+    n_per_split: int
+    parts: int
+    threshold: float | None  # largest per-coordinate selection threshold; None when dense
 
     @property
     def n_used(self) -> int:
@@ -131,7 +132,8 @@ def quadratic_stage(
     s: int,
     alpha: float,
     screening: tuple | None,
-    **provenance,
+    regime: str,
+    parts: int,
 ) -> FunctionalEstimate:
     """The stage both pipelines share once their preliminary stage has run.
 
@@ -147,10 +149,11 @@ def quadratic_stage(
     branch selects with `screening`, the triple (bar_theta, scale, diag) of the
     screening vector, the noise scale of the threshold and its length-p
     diagonal; without a screening triple (no preliminary fit) the estimate is
-    dense.  `provenance` holds the remaining :class:`FunctionalEstimate` fields
-    (regime, n_per_split, parts).  A noise estimate of exactly 0, which would
-    collapse both the selection and the detection threshold to 0, raises
-    ``ArithmeticError``; ``sigma_hat=None`` (no preliminary fit) is allowed.
+    dense.  The estimate records `regime` and `parts` as given and measures
+    ``n_per_split`` as the rows of X2, the block it sums.  A noise estimate of
+    exactly 0, which would collapse both the selection and the detection
+    threshold to 0, raises ``ArithmeticError``; ``sigma_hat=None`` (no
+    preliminary fit) is allowed.
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -167,10 +170,6 @@ def quadratic_stage(
         threshold, branch, keep = float(np.max(tau)), "sparse", np.abs(bar_theta) > tau
     q_hat = float(component_estimates(prelim, X2, Y2)[keep].sum())
     return FunctionalEstimate(
-        q_hat=q_hat,
-        lambda_hat=float(np.sqrt(abs(q_hat))),
-        sigma_hat=sigma_hat,
-        branch=branch,
-        threshold=threshold,
-        **provenance,
+        q_hat=q_hat, lambda_hat=float(np.sqrt(abs(q_hat))), sigma_hat=sigma_hat, branch=branch,
+        regime=regime, n_per_split=X2.shape[0], parts=parts, threshold=threshold,
     )

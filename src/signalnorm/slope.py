@@ -139,6 +139,10 @@ def sqrt_slope_fit(
     decrease falls below `tol`, on exact interpolation, or at `max_iter`
     (reported through the `converged` flag, never silently).
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
     n, p = X1.shape

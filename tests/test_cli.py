@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from signalnorm.model import (
     synthesize,
     write_sample,
 )
-from signalnorm.pipeline import detection_threshold, estimate
+from signalnorm.pipeline import detect, detection_threshold, estimate
 from signalnorm.quadratic import sparse_branch
+from signalnorm.slope import sqrt_slope_fit
 
 # Seeded `simulate` files, `rates` and `lower-bound` stdout and detection
 # thresholds, recorded before the rate and the report helpers were folded;
@@ -182,6 +184,31 @@ def test_slope_fit_output_schema(sample_csv, capsys):
     assert len(out["theta_hat"]) == 4
 
 
+def _fit_dict(fit):
+    return {**asdict(fit), "theta_hat": fit.theta_hat.tolist()}
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["estimate", "--regime", "low", "--s", "2"], lambda x: asdict(estimate(x, 2, "low"))),
+    (["estimate", "--regime", "high", "--s", "2"], lambda x: asdict(estimate(x, 2, "high"))),
+    (["detect", "--regime", "low", "--s", "2", "--beta", "2.0"],
+     lambda x: dict(zip(["decision", "lambda_hat", "threshold"], detect(x, 2, "low", beta=2.0)))),
+    (["slope-fit"], lambda x: _fit_dict(sqrt_slope_fit(x.X, x.Y))),
+    (["slope-fit", "--max-iter", "1"], lambda x: _fit_dict(sqrt_slope_fit(x.X, x.Y, max_iter=1))),
+    (["estimate", "--regime", "low", "--s", "2", "--alpha", "1.0"],
+     lambda x: asdict(estimate(x, 2, "low", alpha=1.0))),
+], ids=["estimate-low", "estimate-high", "detect-low", "slope-fit", "slope-fit-max-iter",
+        "estimate-alpha"])
+def test_cli_forwards_to_library_call(sample_csv, capsys, argv, call):
+    """A tuning flag left out takes the library's default, and one that is given
+    reaches the call: each command prints the JSON of its library call."""
+    code, out = run_cli(capsys, *argv, "--input", str(sample_csv))
+    assert code == EXIT_OK
+    assert out == call(read_sample(sample_csv))
+    if "--max-iter" in argv:
+        assert out["iterations"] == 1
+
+
 def test_simulate_and_rates(tmp_path, capsys):
     config = {
         "seed": 9,
@@ -277,7 +304,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
                        ("noise", "bogus"), ("replications", "3"), ("sigma", [None]),
                        ("sigma", []), ("magnitude", []), ("alpha", float("nan")),
                        ("alpha", float("inf")), ("beta", float("nan")), ("c1", -1.0),
-                       ("c1", float("nan")), ("sigma", [float("nan")])):
+                       ("c1", float("nan")), ("sigma", [float("nan")]),
+                       ("magnitude", [float("nan")]), ("magnitude", [float("inf")])):
         bad3 = tmp_path / f"bad-{key}.json"
         bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
         code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])
@@ -295,15 +323,28 @@ def test_exit_code_config_errors(tmp_path, capsys):
                  ["detect", "--c1", "2.0", "--beta", "1.0"]):
         code = main([*argv, "--regime", "low", "--s", "1", "--input", str(good_csv)])
         assert code == EXIT_CONFIG and "regime high only" in capsys.readouterr().err, argv
-    # non-finite tuning constants, rather than a NaN threshold or decision
-    for argv, named in ((["estimate", "--regime", "low", "--s", "1", "--alpha", "nan"], "alpha"),
-                        (["estimate", "--regime", "low", "--s", "1", "--alpha", "inf"], "alpha"),
-                        (["detect", "--regime", "low", "--s", "1", "--beta", "nan"], "beta"),
-                        (["slope-fit", "--c1", "nan"], "c1")):
+    # non-finite or out-of-range tuning constants, rather than a NaN threshold or
+    # decision, or a fit that never ran
+    finite = "must be finite and positive"
+    for argv, message in (
+        (["estimate", "--regime", "low", "--s", "1", "--alpha", "nan"], f"alpha {finite}"),
+        (["estimate", "--regime", "low", "--s", "1", "--alpha", "inf"], f"alpha {finite}"),
+        (["detect", "--regime", "low", "--s", "1", "--beta", "nan"], f"beta {finite}"),
+        (["slope-fit", "--c1", "nan"], f"c1 {finite}"),
+        (["slope-fit", "--tol", "nan"], f"tol {finite}"),
+        (["slope-fit", "--tol", "0"], f"tol {finite}"),
+        (["slope-fit", "--tol", "inf"], f"tol {finite}"),
+        (["slope-fit", "--max-iter", "0"], "max_iter must be >= 1"),
+    ):
         code = main([*argv, "--input", str(good_csv)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG and captured.out == "", argv
-        assert f"{named} must be finite and positive" in captured.err, argv
+        assert message in captured.err, argv
+    for magnitude in ("nan", "inf"):
+        code = main(["gen", "--N", "10", "--p", "3", "--s", "1", "--magnitude", magnitude,
+                     "--out", str(tmp_path / "gen.csv")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and "magnitude must be finite and >= 0" in captured.err
     for extra in (["--kappa", "nan"], ["--kappa", "1.0", "--sigma", "nan"]):
         code = main(["lower-bound", "--p", "100", "--N", "400", "--s", "5", "--delta", "0.5",
                      *extra])

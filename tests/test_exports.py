@@ -1,7 +1,9 @@
-"""The public names: every ``__all__`` entry resolves, and none is listed twice."""
+"""The public names: every ``__all__`` entry resolves, none is listed twice, and
+the library functions state the same tuning defaults as the config."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import signalnorm
+from signalnorm import calibration, harness, highdim, lowdim, pipeline, slope
 
 SUBMODULES = sorted(
     (importlib.import_module(f"signalnorm.{info.name}")
@@ -41,3 +44,28 @@ def test_perfbench_traced_functions_resolve(monkeypatch):
                   for fname in funcs
                   if not callable(getattr(importlib.import_module(modname), fname, None))]
     assert tracing.TRACED and unresolved == []
+
+
+# Each tuning constant's default, stated by every library function that takes it
+# (as (function, parameter)); the CLI states none and forwards only what is given.
+DEFAULT_OWNERS = {
+    "alpha": [(f, "alpha") for f in (pipeline.estimate, pipeline.detect,
+                                     calibration.calibrate_beta, lowdim.estimate_lowdim,
+                                     highdim.estimate_highdim)],
+    "c1": [(f, "c1") for f in (pipeline.estimate, pipeline.detect, calibration.calibrate_beta,
+                               highdim.estimate_highdim, slope.sqrt_slope_fit,
+                               slope.slope_weights)],
+    "delta": [(f, "delta") for f in (pipeline.detect, calibration.calibrate_beta,
+                                     harness.summarize, harness.report)],
+    "calib_trials": [(pipeline.detect, "calib_trials"), (calibration.calibrate_beta, "trials")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_OWNERS))
+def test_library_defaults_agree_with_config(name):
+    """The library and `ExperimentConfig` each state a tuning constant's default;
+    they state the same one."""
+    expected = getattr(harness.ExperimentConfig(seed=0), name)
+    got = {f"{func.__qualname__}({param})": inspect.signature(func).parameters[param].default
+           for func, param in DEFAULT_OWNERS[name]}
+    assert got == dict.fromkeys(got, expected)

@@ -84,11 +84,15 @@ class TestEstimateHighdim:
 
     def test_split_provenance_disjoint(self):
         """The sparse branch adds a third, disjoint block for the debiased
-        screening vector; the dense branch uses two."""
-        sparse = estimate_highdim(_sample(90, 64, seed=5), s=4)
-        assert (sparse.branch, sparse.parts, sparse.n_per_split) == ("sparse", 3, 30)
-        dense = estimate_highdim(_sample(40, 16, seed=6), s=10)
-        assert (dense.branch, dense.parts, dense.n_per_split) == ("dense", 2, 20)
+        screening vector; the dense branch uses two.  Remainder rows are dropped."""
+        for N in (90, 92):
+            sparse = estimate_highdim(_sample(N, 64, seed=5), s=4)
+            assert (sparse.branch, sparse.parts, sparse.n_per_split, sparse.n_used) == \
+                ("sparse", 3, 30, 90), N
+        for N in (40, 41):
+            dense = estimate_highdim(_sample(N, 16, seed=6), s=10)
+            assert (dense.branch, dense.parts, dense.n_per_split, dense.n_used) == \
+                ("dense", 2, 20, 40), N
 
     def test_pipeline_replay_small(self):
         """N=9, p=2, s=1: matches a scripted re-execution of the three splits."""
@@ -124,6 +128,8 @@ class TestEstimateHighdim:
             est_sum += est.q_hat
         # unconditionally unbiased for the squared norm
         assert abs(est_sum / reps - 1.0) <= 0.1
+        est = estimate_highdim(_sample(61, 8, seed=12), s=1, prelim="zero")
+        assert (est.parts, est.n_per_split) == (1, 61)  # no split, so no row dropped
 
     def test_prelim_zero_matches_q_dense(self):
         sample = _sample(30, 9, seed=11)

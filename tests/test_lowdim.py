@@ -238,9 +238,11 @@ class TestEstimateLowdim:
         assert scaled.q_hat == pytest.approx(100 * base.q_hat, rel=1e-10)
 
     def test_split_provenance(self):
-        """Two blocks of N/2 rows: the fit's and the quadratic stage's."""
-        est = estimate_lowdim(_gaussian_sample(40, 4, seed=6), 1)
-        assert (est.parts, est.n_per_split, est.n_used) == (2, 20, 40)
+        """Two blocks of floor(N/2) rows: the fit's and the quadratic stage's; an
+        odd remainder row is dropped."""
+        for N in (40, 41):
+            est = estimate_lowdim(_gaussian_sample(N, 4, seed=6), 1)
+            assert (est.parts, est.n_per_split, est.n_used) == (2, 20, 40), N
 
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError):

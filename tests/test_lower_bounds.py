@@ -166,9 +166,11 @@ class TestLowerRadius:
 
     def test_sparsity_truncated_in_reduction_radius(self):
         """Above sqrt(p) the reduction radius freezes at s = floor(sqrt(p))."""
-        at_boundary = minimax_testing_lower_radius(100, 400, 10, 0.5).r
-        beyond = minimax_testing_lower_radius(100, 400, 40, 0.5).r
-        assert beyond == pytest.approx(at_boundary, rel=1e-12)
+        at_boundary = minimax_testing_lower_radius(100, 400, 10, 0.5)
+        beyond = minimax_testing_lower_radius(100, 400, 40, 0.5)
+        assert beyond.r == pytest.approx(at_boundary.r, rel=1e-12)
+        assert (at_boundary.s_prior, beyond.s_prior) == (10, 10)
+        assert minimax_testing_lower_radius(100, 400, 5, 0.5).s_prior == 5
 
     def test_monotone_in_s_and_N(self):
         # rho is nondecreasing in s; r is not (s log(1 + p/s^2) dips for

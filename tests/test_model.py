@@ -152,8 +152,9 @@ class TestSparseTheta:
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError):
             sample_sparse_theta(3, 4, 1.0, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="magnitude"):
-            sample_sparse_theta(3, 1, -1.0, rng=np.random.default_rng(0))
+        for magnitude in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
+                sample_sparse_theta(3, 1, magnitude, rng=np.random.default_rng(0))
 
 
 class TestSplitSample:

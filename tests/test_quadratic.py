@@ -31,14 +31,14 @@ def naive_components(prelim, X2, Y2):
 
 def dense_q(prelim, X2, Y2):
     """q_hat of the quadratic stage without a screening triple: the dense sum."""
-    est = quadratic_stage(prelim, 1.0, X2, Y2, 1, 1.0, None)
+    est = quadratic_stage(prelim, 1.0, X2, Y2, 1, 1.0, None, "low", 2)
     assert est.branch == "dense"
     return est.q_hat
 
 
 def sparse_q(prelim, bar_theta, diag, alpha, X2, Y2, s=1):
     """q_hat of the quadratic stage on its sparse branch, with noise scale 1."""
-    est = quadratic_stage(prelim, 1.0, X2, Y2, s, alpha, (bar_theta, 1.0, diag))
+    est = quadratic_stage(prelim, 1.0, X2, Y2, s, alpha, (bar_theta, 1.0, diag), "low", 2)
     assert est.branch == "sparse"
     return est.q_hat
 
@@ -199,7 +199,8 @@ class TestQSparse:
 class TestNormFromQ:
     def _lambda_of(self, y):
         """lambda_hat of the dense stage on X = (1, 1)^T, prelim 0: q_hat = y1 y2."""
-        est = quadratic_stage(np.zeros(1), 1.0, np.ones((2, 1)), np.array(y), 1, 1.0, None)
+        est = quadratic_stage(np.zeros(1), 1.0, np.ones((2, 1)), np.array(y), 1, 1.0, None,
+                              "high", 1)
         return est.q_hat, est.lambda_hat
 
     def test_values(self):

@@ -326,6 +326,16 @@ class TestSqrtSlopeFit:
         fit = sqrt_slope_fit(X, Y, max_iter=2)
         assert not fit.converged and fit.iterations == 2
 
+    def test_validation(self):
+        """A tolerance no decrease can meet (NaN, 0) or that every one meets (inf),
+        and an iteration budget of 0, are rejected rather than reported as a fit."""
+        X, Y = np.eye(3), np.ones(3)
+        for tol in (float("nan"), 0.0, -1e-8, float("inf")):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                sqrt_slope_fit(X, Y, tol=tol)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            sqrt_slope_fit(X, Y, max_iter=0)
+
     def test_exact_interpolation_guard(self):
         """Noiseless determined system: the solver stops at interpolation."""
         rng = np.random.default_rng(8)
