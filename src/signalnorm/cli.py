@@ -1,6 +1,7 @@
 """Command line interface.
 
 Subcommands: gen, estimate, detect, slope-fit, simulate, rates, lower-bound.
+Each maps its parsed arguments to a JSON object, which `main` prints as one line.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
@@ -50,25 +51,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # estimate, detect and slope-fit pass on only the flags given (see _given)
     forward = {"argument_default": argparse.SUPPRESS}
-    est = sub.add_parser("estimate", help="estimate the signal norm and squared norm", **forward)
-    est.add_argument("--regime", required=True, choices=["low", "high"])
-    est.add_argument("--s", type=int, required=True)
-    est.add_argument("--alpha", type=float)
-    est.add_argument("--c1", type=float, help="high regime only")
+    shared = argparse.ArgumentParser(add_help=False, **forward)  # estimate's and detect's
+    shared.add_argument("--regime", required=True, choices=["low", "high"])
+    shared.add_argument("--s", type=int, required=True)
+    shared.add_argument("--alpha", type=float)
+    shared.add_argument("--c1", type=float, help="high regime only")
+    shared.add_argument("--input", required=True, help="sample CSV")
+
+    est = sub.add_parser("estimate", parents=[shared], **forward,
+                         help="estimate the signal norm and squared norm")
     est.add_argument("--prelim", choices=["srs", "zero"],
                      help="high regime only: 'zero' skips the preliminary fit")
-    est.add_argument("--input", required=True, help="sample CSV")
 
-    det = sub.add_parser("detect", help="test whether the signal is null", **forward)
-    det.add_argument("--regime", required=True, choices=["low", "high"])
-    det.add_argument("--s", type=int, required=True)
-    det.add_argument("--alpha", type=float)
-    det.add_argument("--c1", type=float, help="high regime only")
+    det = sub.add_parser("detect", parents=[shared], **forward,
+                         help="test whether the signal is null")
     det.add_argument("--beta", type=float, help="test constant; omit to calibrate")
     det.add_argument("--delta", type=float, help="target level for calibration")
     det.add_argument("--calib-trials", type=int)
     det.add_argument("--calib-seed", type=int)
-    det.add_argument("--input", required=True)
 
     slp = sub.add_parser("slope-fit", help="square-root sorted-L1 regression fit", **forward)
     slp.add_argument("--c1", type=float)
@@ -90,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     low.add_argument("--N", type=int, required=True)
     low.add_argument("--s", type=int, required=True)
     low.add_argument("--delta", type=float, required=True)
-    low.add_argument("--kappa", type=float, default=None)
-    low.add_argument("--sigma", type=float, default=1.0)
+    low.add_argument("--kappa", type=float)
+    low.add_argument("--sigma", type=float, help="with --kappa only (default 1.0)")
 
     return parser
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
     theta = sample_sparse_theta(args.p, args.s, args.magnitude, pattern=args.pattern, rng=rng)
     spec = ModelSpec(theta=theta, sigma=args.sigma, design=args.design, noise=args.noise)
@@ -104,77 +104,72 @@ def _cmd_gen(args) -> int:
     path = write_sample(sample, args.out)
     truth = {"theta": spec.theta.tolist(), "sigma": spec.sigma, "seed": args.seed}
     path.with_suffix(path.suffix + ".truth.json").write_text(json.dumps(truth))
-    print(json.dumps({"written": str(path), "N": sample.N, "p": sample.p}))
-    return EXIT_OK
+    return {"written": str(path), "N": sample.N, "p": sample.p}
 
 
 def _given(args) -> dict:
     """The options given on the command line, as keyword arguments of the library
-    call, so a flag left out takes the library's default; the low regime, which
-    would ignore the high-regime-only ones, rejects them."""
+    call, so a flag left out takes the library's default; a flag the call would
+    ignore (c1 and prelim in the low regime, calibration flags with beta) is rejected."""
     given = {k: v for k, v in vars(args).items() if k not in ("command", "input")}
-    high_only = [f"--{k}" for k in ("c1", "prelim") if k in given]
-    if high_only and given.get("regime") == "low":
-        raise ValueError(f"{', '.join(high_only)}: for --regime high only")
+    for applies, names, rule in (
+        (given.get("regime") == "low", ("c1", "prelim"), "for --regime high only"),
+        ("beta" in given, ("delta", "calib_trials", "calib_seed"), "for calibration, not --beta"),
+    ):
+        flags = [f"--{k.replace('_', '-')}" for k in names if k in given]
+        if applies and flags:
+            raise ValueError(f"{', '.join(flags)}: {rule}")
     return given
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> dict:
     given = _given(args)
-    est = pipeline.estimate(read_sample(args.input), **given)
-    print(json.dumps(asdict(est)))
-    return EXIT_OK
+    return asdict(pipeline.estimate(read_sample(args.input), **given))
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> dict:
     given = _given(args)
     decision, lambda_hat, threshold, _ = pipeline.detect(read_sample(args.input), **given)
-    print(json.dumps({"decision": decision, "lambda_hat": lambda_hat, "threshold": threshold}))
-    return EXIT_OK
+    return {"decision": decision, "lambda_hat": lambda_hat, "threshold": threshold}
 
 
-def _cmd_slope_fit(args) -> int:
+def _cmd_slope_fit(args) -> dict:
     given = _given(args)
     sample = read_sample(args.input)
     fit = sqrt_slope_fit(sample.X, sample.Y, **given)
-    print(json.dumps({**asdict(fit), "theta_hat": fit.theta_hat.tolist()}))
-    return EXIT_OK
+    return {**asdict(fit), "theta_hat": fit.theta_hat.tolist()}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     config = harness.ExperimentConfig.from_json(args.config)
     records = harness.run_trials(config)
     paths = harness.report(records, out_dir=args.out_dir, delta=config.delta)
-    print(json.dumps({k: str(v) for k, v in paths.items()}))
-    return EXIT_OK
+    return {k: str(v) for k, v in paths.items()}
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> dict:
     records = harness.read_records(args.source)
     fit = harness.fit_rate(harness.metric_points(records, args.metric))
-    print(json.dumps({"metric": args.metric, **asdict(fit)}))
-    return EXIT_OK
+    return {"metric": args.metric, **asdict(fit)}
 
 
-def _cmd_lower_bound(args) -> int:
+def _cmd_lower_bound(args) -> dict:
+    if args.sigma is not None and args.kappa is None:
+        raise ValueError("--sigma: for q_bar, which needs --kappa")
     bundle = lower_bounds.minimax_testing_lower_radius(args.p, args.N, args.s, args.delta)
     tau = lower_bounds.tau_from_rho(bundle.r)
-    mgf = lower_bounds.hypergeometric_mgf_bound(args.p, bundle.s_prior, args.N, tau)
-    q_bar = (
-        lower_bounds.q_lower_bound(args.p, args.N, args.s, args.sigma, args.kappa)
-        if args.kappa is not None
-        else None
-    )
-    print(json.dumps({
+    sigma = 1.0 if args.sigma is None else args.sigma
+    q_bar = None if args.kappa is None else lower_bounds.q_lower_bound(
+        args.p, args.N, args.s, sigma, args.kappa)
+    return {
         "A": bundle.A,
         "r": bundle.r,
         "rho": bundle.rho,
         "q_bar": q_bar,
-        "mgf": mgf,
+        "mgf": lower_bounds.hypergeometric_mgf_bound(args.p, bundle.s_prior, args.N, tau),
         "bayes_risk_bound": lower_bounds.bayes_testing_risk_bound(
             args.p, bundle.s_prior, args.N, tau),
-    }))
-    return EXIT_OK
+    }
 
 
 _COMMANDS = {
@@ -196,13 +191,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; normalize other codes
         return EXIT_CONFIG if exc.code not in (0,) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        print(json.dumps(_COMMANDS[args.command](args)))
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -159,10 +159,12 @@ class ExperimentConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.calib_trials < 1:
             raise ValueError("calib_trials must be >= 1")
-        # Noise levels and entry laws by the model's own rules, at load time
-        # rather than as an error tag on every trial.
+        # Noise levels, magnitudes, laws and pattern by the model's own rules, at
+        # load time rather than as an error tag on every trial or at the first draw.
         for sigma in self.sigma:
             ModelSpec(theta=np.zeros(1), sigma=float(sigma), design=self.design, noise=self.noise)
+        for magnitude in self.magnitude:
+            sample_sparse_theta(1, 1, float(magnitude), self.pattern, rng=np.random.default_rng(0))
 
     def _check_types(self) -> None:
         """Reject a value whose JSON type is not its field's annotation, before any use."""

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _build_parser, main
 from signalnorm.harness import CSV_COLUMNS, ExperimentConfig, read_records, run_trials
 from signalnorm.model import (
     Dimensions,
@@ -62,6 +63,19 @@ LOWER_BOUND_ARGS = {
     "no-kappa": ["--p", "500", "--N", "1000", "--s", "30", "--delta", "0.1"],
     "sigma": ["--p", "64", "--N", "50", "--s", "2", "--delta", "0.3", "--kappa", "0.2",
               "--sigma", "2.0"],
+}
+
+# The flags each command accepts, besides -h/--help.
+COMMAND_FLAGS = {
+    "gen": {"--N", "--p", "--s", "--sigma", "--magnitude", "--pattern", "--design", "--noise",
+            "--seed", "--out"},
+    "estimate": {"--regime", "--s", "--alpha", "--c1", "--prelim", "--input"},
+    "detect": {"--regime", "--s", "--alpha", "--c1", "--beta", "--delta", "--calib-trials",
+               "--calib-seed", "--input"},
+    "slope-fit": {"--c1", "--max-iter", "--tol", "--input"},
+    "simulate": {"--config", "--out-dir"},
+    "rates": {"--from", "--metric"},
+    "lower-bound": {"--p", "--N", "--s", "--delta", "--kappa", "--sigma"},
 }
 
 THRESHOLD_SHAPES = [(2.0, 1.3, 3, 30, 200), (1.0, 1.0, 1, 400, 300), (0.7, 2.5, 40, 100, 90)]
@@ -209,6 +223,33 @@ def test_cli_forwards_to_library_call(sample_csv, capsys, argv, call):
         assert out["iterations"] == 1
 
 
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_command_surface(tmp_path, capsys, sample_csv, command):
+    """Each command accepts its recorded flags, and a run that succeeds prints
+    exactly one stdout line, which parses to a JSON object."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    assert accepted == {"-h", "--help", *COMMAND_FLAGS[command]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(REPORT_CONFIGS["high-dense"]))
+    records = tmp_path / "run" / "records.csv"
+    argv = {
+        "gen": ["--N", "10", "--p", "3", "--s", "1", "--out", str(tmp_path / "gen.csv")],
+        "estimate": ["--regime", "low", "--s", "2", "--input", str(sample_csv)],
+        "detect": ["--regime", "low", "--s", "2", "--beta", "2.0", "--input", str(sample_csv)],
+        "slope-fit": ["--input", str(sample_csv)],
+        "simulate": ["--config", str(config), "--out-dir", str(records.parent)],
+        "rates": ["--from", str(records)],
+        "lower-bound": LOWER_BOUND_ARGS["kappa"],
+    }
+    if command == "rates":
+        _stdout_of("simulate", *argv["simulate"])
+    code = main([command, *argv[command]])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and out.endswith("\n") and out.count("\n") == 1, out
+    assert isinstance(json.loads(out), dict)
+
+
 def test_simulate_and_rates(tmp_path, capsys):
     config = {
         "seed": 9,
@@ -305,7 +346,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
                        ("sigma", []), ("magnitude", []), ("alpha", float("nan")),
                        ("alpha", float("inf")), ("beta", float("nan")), ("c1", -1.0),
                        ("c1", float("nan")), ("sigma", [float("nan")]),
-                       ("magnitude", [float("nan")]), ("magnitude", [float("inf")])):
+                       ("magnitude", [float("nan")]), ("magnitude", [float("inf")]),
+                       ("replications", 0), ("n", 64)):
         bad3 = tmp_path / f"bad-{key}.json"
         bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
         code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])
@@ -316,15 +358,23 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code = main(["simulate", "--config", str(high), "--out-dir", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == EXIT_CONFIG
-    # options of the high regime given to the low one, which would ignore them
+    # options of the high regime given to the low one, and calibration options
+    # given with a beta, which would be ignored; rejected before the sample is read
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("y,x1\n" + "\n".join(f"{i % 5},{i % 3}" for i in range(12)) + "\n")
-    for argv in (["estimate", "--c1", "2.0"], ["estimate", "--prelim", "zero"],
-                 ["detect", "--c1", "2.0", "--beta", "1.0"]):
-        code = main([*argv, "--regime", "low", "--s", "1", "--input", str(good_csv)])
-        assert code == EXIT_CONFIG and "regime high only" in capsys.readouterr().err, argv
-    # non-finite or out-of-range tuning constants, rather than a NaN threshold or
-    # decision, or a fit that never ran
+    for argv, message in (
+        (["estimate", "--c1", "2.0"], "--c1: for --regime high only"),
+        (["estimate", "--prelim", "zero"], "--prelim: for --regime high only"),
+        (["detect", "--c1", "2.0", "--beta", "1.0"], "--c1: for --regime high only"),
+        (["detect", "--beta", "2", "--delta", "0.2"], "--delta: for calibration, not --beta"),
+        (["detect", "--beta", "2", "--calib-trials", "0", "--delta", "7", "--calib-seed", "-5"],
+         "--delta, --calib-trials, --calib-seed: for calibration, not --beta"),
+    ):
+        for path in (good_csv, tmp_path / "nope.csv"):
+            code = main([*argv, "--regime", "low", "--s", "1", "--input", str(path)])
+            assert code == EXIT_CONFIG and message in capsys.readouterr().err, (argv, path)
+    # non-finite or out-of-range tuning constants or sparsity, rather than a NaN
+    # threshold or decision, or a fit that never ran
     finite = "must be finite and positive"
     for argv, message in (
         (["estimate", "--regime", "low", "--s", "1", "--alpha", "nan"], f"alpha {finite}"),
@@ -335,6 +385,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
         (["slope-fit", "--tol", "0"], f"tol {finite}"),
         (["slope-fit", "--tol", "inf"], f"tol {finite}"),
         (["slope-fit", "--max-iter", "0"], "max_iter must be >= 1"),
+        (["detect", "--regime", "low", "--s", "1", "--delta", "1.5"], "delta must lie in (0, 1)"),
+        (["detect", "--regime", "low", "--s", "1", "--calib-trials", "0"], "trials must be >= 1"),
+        (["estimate", "--regime", "high", "--s", "2"], "s must satisfy 1 <= s <= p"),
     ):
         code = main([*argv, "--input", str(good_csv)])
         captured = capsys.readouterr()
@@ -345,10 +398,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "gen.csv")])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG and "magnitude must be finite and >= 0" in captured.err
-    for extra in (["--kappa", "nan"], ["--kappa", "1.0", "--sigma", "nan"]):
+    # lower-bound's out-of-range values, and a --sigma that no q_bar would use
+    for extra, message in (
+        (["--kappa", "nan"], "kappa must be finite"),
+        (["--kappa", "1.0", "--sigma", "nan"], "sigma must be finite"),
+        (["--sigma", "nan"], "--sigma: for q_bar, which needs --kappa"),
+        (["--sigma", "2"], "--sigma: for q_bar, which needs --kappa"),
+        (["--s", "0"], "s must satisfy 1 <= s <= p"),
+        (["--N", "0"], "N must be >= 1"),
+    ):
         code = main(["lower-bound", "--p", "100", "--N", "400", "--s", "5", "--delta", "0.5",
                      *extra])
-        assert code == EXIT_CONFIG and "must be finite" in capsys.readouterr().err, extra
+        assert code == EXIT_CONFIG and message in capsys.readouterr().err, extra
     # a NaN in the sample, in either regime
     nan_csv = tmp_path / "nan.csv"
     rows = [f"{i},{i % 3},1.5" for i in range(12)] + ["nan,1,2"]
@@ -374,6 +435,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
         (json.dumps({"seed": 1, "p_rule": "(-1)**0.5"}), "rule '(-1)**0.5'"),
         (json.dumps({"seed": 1, "n": [0, -4], "p_rule": "4", "s_rule": "1"}),
          "every n entry must be >= 2"),
+        (json.dumps({"seed": 1, "p_rule": "n/"}), "cannot parse rule 'n/'"),
+        (json.dumps({"seed": 1, "s_rule": "p+1"}), "rule 'p+1' gave 33, outside [1, 32]"),
     )):
         cfg = tmp_path / f"cfg-{i}.json"
         cfg.write_text(text)

@@ -71,6 +71,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(regime="medium")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("magnitude", [float("nan")], "magnitude must be finite and >= 0, got nan"),
+        ("magnitude", [-1.0], "magnitude must be finite and >= 0, got -1.0"),
+        ("pattern", "bogus", "unknown pattern 'bogus'"),
+    ], ids=["magnitude-nan", "magnitude-negative", "pattern-unknown"])
+    def test_signal_checked_at_load(self, key, value, match):
+        """The signal's magnitudes and pattern are checked by `sample_sparse_theta`'s
+        own rule when the config loads, before any trial runs."""
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict({"seed": 1, key: value})
+
     def test_grid_points_fix_regime_and_rows(self):
         """The "auto" regime is low iff p <= n/2, and each point's row budget is
         parts * n: 3n on the sparse branch of the high regime, else 2n."""

@@ -185,6 +185,8 @@ class TestLowerRadius:
     def test_validation(self):
         with pytest.raises(ValueError):
             minimax_testing_lower_radius(10, 100, 3, 0.0)
+        with pytest.raises(ValueError, match="s must satisfy 1 <= s <= p"):
+            hypergeometric_mgf_bound(10, 11, 100, 0.1)
 
 
 class TestQLowerBound:

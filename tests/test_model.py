@@ -97,12 +97,18 @@ class TestSynthesize:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             synthesize(ModelSpec(theta=np.zeros(3), sigma=1.0), Dimensions(N=4, p=2, s=1), 0)
+        with pytest.raises(ValueError, match="row mismatch"):
+            RegressionSample(X=np.ones((4, 2)), Y=np.ones(3))
+        with pytest.raises(ValueError, match="X must be a 2-d matrix"):
+            RegressionSample(X=np.ones(4), Y=np.ones(4))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ModelSpec(theta=np.zeros(3), sigma=0.0)
         with pytest.raises(ValueError):
             ModelSpec(theta=np.zeros(3), sigma=1.0, noise="levy")
+        with pytest.raises(ValueError, match="theta must be a 1-d vector"):
+            ModelSpec(theta=np.zeros((3, 1)), sigma=1.0)
 
     def test_spec_frozen(self):
         """A checked spec cannot be given an unchecked law afterwards."""
@@ -155,6 +161,8 @@ class TestSparseTheta:
         for magnitude in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
                 sample_sparse_theta(3, 1, magnitude, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown pattern 'bogus'"):
+            sample_sparse_theta(3, 1, 1.0, "bogus", rng=np.random.default_rng(0))
 
 
 class TestSplitSample:
@@ -175,6 +183,8 @@ class TestSplitSample:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             split_sample(self._sample(2), 3)
+        with pytest.raises(ValueError, match="parts must be 2 or 3"):
+            split_sample(self._sample(8), 4)
 
     def test_blocks_disjoint_and_cover_prefix(self):
         rng = np.random.default_rng(3)

@@ -63,6 +63,8 @@ class TestComponentEstimates:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             component_estimates(np.zeros(3), np.ones((4, 2)), np.ones(4))
+        with pytest.raises(ValueError, match="mismatch"):
+            debias(np.zeros(2), np.ones((4, 2)), np.ones(3))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 9), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))

@@ -179,6 +179,8 @@ class TestSortedL1Norm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sorted_l1_norm(np.ones(3), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            prox_sorted_l1(np.ones(3), np.array([1.0, 0.5]))
 
 
 class TestProxSortedL1:
@@ -335,6 +337,8 @@ class TestSqrtSlopeFit:
                 sqrt_slope_fit(X, Y, tol=tol)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             sqrt_slope_fit(X, Y, max_iter=0)
+        with pytest.raises(ValueError, match="row mismatch"):
+            sqrt_slope_fit(X, np.ones(2))
 
     def test_exact_interpolation_guard(self):
         """Noiseless determined system: the solver stops at interpolation."""
