@@ -1,8 +1,8 @@
 """Null calibration of the detection constant beta.
 
-The detection statistic is scale-free under Gaussian noise (the norm
-estimate, the noise estimate, and the threshold all scale linearly in the
-data), so beta can be calibrated once per configuration by simulating the
+The detection statistic is scale-free (the norm estimate, the noise
+estimate, and the threshold all scale linearly in the data), so beta can be
+calibrated once per configuration and pair of entry laws by simulating the
 null with unit noise and taking the upper-delta quantile of
 
     T = lambda_hat / (sigma_hat * sqrt(s log(1 + sqrt(p)/s) / N)).
@@ -39,10 +39,14 @@ def calibrate_beta(
     c1: float = 1.5,
     trials: int = 2000,
     seed: int = 0,
+    design: str = "standard-normal",
+    noise: str = "standard-normal",
 ) -> float:
     """Upper-delta null quantile of the scale-free detection statistic.
 
-    `N` is the total number of rows the detector consumes.  When the null
+    `N` is the total number of rows the detector consumes; the null draws
+    its design and noise entries from the laws `design` and `noise` (see
+    :class:`signalnorm.model.ModelSpec`).  When the null
     statistic has an atom at zero heavier than 1 - delta (sparse branches
     often yield an exactly-zero estimate), the quantile lands at 0 and any
     positive beta keeps the level below delta; half the smallest positive
@@ -52,7 +56,7 @@ def calibrate_beta(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = ModelSpec(theta=np.zeros(p), sigma=1.0)
+    spec = ModelSpec(theta=np.zeros(p), sigma=1.0, design=design, noise=noise)
     dims = Dimensions(N=N, p=p, s=s)
     root = np.random.SeedSequence(entropy=seed, spawn_key=(0xCA11B,))
     stats = np.empty(trials)

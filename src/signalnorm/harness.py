@@ -196,6 +196,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "seed" not in data:
             raise ValueError("config requires a seed")
+        # Keys a run would ignore; a default cannot be told from a given value
+        # once the config is built, so they are checked here.
+        if "calib_trials" in data and data.get("beta") is not None:
+            raise ValueError("calib_trials: for calibration, not a given beta")
+        if "c1" in data and data.get("regime") == "low":
+            raise ValueError("c1: for the high regime, not regime low")
         return cls(**data)
 
     @classmethod
@@ -313,6 +319,7 @@ def run_single_trial(
                 beta = betas[n] = calibration.calibrate_beta(
                     p=p, N=n_used, s=s, delta=config.delta, regime=regime, alpha=config.alpha,
                     c1=config.c1, trials=config.calib_trials, seed=config.seed,
+                    design=config.design, noise=config.noise,
                 )
             record.decision = pipeline.decide(est, s, p, beta)[0]
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

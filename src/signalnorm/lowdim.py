@@ -25,7 +25,9 @@ __all__ = [
 
 # Designs whose smallest singular value falls below this fraction of the
 # largest are rejected: with continuous entry laws exact collinearity is a
-# null event, so near-singularity signals a malformed input.
+# null event, so near-singularity signals a malformed input.  `ols_fit`
+# certifies sigma_min/sigma_max >= 2 * _SINGULAR_RTOL from ||R||_F ||R^{-1}||_F
+# and takes the SVD only for a design the certificate does not clear.
 _SINGULAR_RTOL = 1e-10
 
 
@@ -52,8 +54,15 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     Computations, section 5.3).  So theta_hat = R^{-1} Q^T Y1, the noise
     estimate is that corner over sqrt(n - p), which needs n > p, and
     diag((X1^T X1)^{-1}) = diag(R^{-1} R^{-T}) is the squared row norms of
-    R^{-1}; the full inverse Gram matrix is never formed.  R has the singular
-    values of X1, which the rank guard reads.
+    R^{-1}; the full inverse Gram matrix is never formed.
+
+    R has the singular values of X1, and the rank guard rejects X1 when
+    sigma_min < _SINGULAR_RTOL * sigma_max.  Since sigma_max <= ||R||_F and
+    1/sigma_min <= ||R^{-1}||_F, whose square is the sum of that diagonal
+    (section 2.3), ||R||_F ||R^{-1}||_F * _SINGULAR_RTOL < 1/2 certifies the
+    design with room for the rounding of the inverse.  Only a design that
+    the certificate does not clear (the bound is large or not finite, or the
+    inverse fails) pays for the SVD of R, which then decides.
     """
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
@@ -64,16 +73,27 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
         raise ValueError(f"need n > p for the least squares pipeline, got n={n}, p={p}")
     R_aug = np.linalg.qr(np.column_stack([X1, Y1]), mode="r")
     R = R_aug[:p, :p]
-    svals = np.linalg.svd(R, compute_uv=False)
-    if svals[0] == 0 or svals[-1] < _SINGULAR_RTOL * svals[0]:  # svals[0] = 0: X1 is all zero
-        raise SingularDesignError(
-            f"design is numerically singular: singular values in [{svals[-1]:.3e}, {svals[0]:.3e}]"
-        )
-    R_inv = np.linalg.inv(R)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            R_inv = np.linalg.inv(R)
+        except np.linalg.LinAlgError:
+            certified = False
+        else:
+            gram_inverse_diag = (R_inv**2).sum(axis=1)
+            # `<`, so that a NaN or infinite bound is not a certificate
+            certified = np.linalg.norm(R) * np.sqrt(gram_inverse_diag.sum()) * _SINGULAR_RTOL < 0.5
+    if not certified:
+        svals = np.linalg.svd(R, compute_uv=False)
+        if svals[0] == 0 or svals[-1] < _SINGULAR_RTOL * svals[0]:  # svals[0] = 0: X1 is all zero
+            raise SingularDesignError(
+                f"design is numerically singular: singular values in [{svals[-1]:.3e}, {svals[0]:.3e}]"
+            )
+        # the guard passed: invert again outside errstate, so that an overflow warns as before
+        R_inv = np.linalg.inv(R)
+        gram_inverse_diag = (R_inv**2).sum(axis=1)
     theta_hat = R_inv @ R_aug[:p, p]
     sigma_hat = float(abs(R_aug[p, p]) / np.sqrt(n - p))
-    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=(R_inv**2).sum(axis=1),
-                  sigma_hat=sigma_hat)
+    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=gram_inverse_diag, sigma_hat=sigma_hat)
 
 
 def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> FunctionalEstimate:

@@ -358,6 +358,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code = main(["simulate", "--config", str(high), "--out-dir", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == EXIT_CONFIG
+    # config fields a run would ignore, the config-side twins of the flag rules below
+    for extra, message in (
+        ({"task": "detect", "beta": 2.0, "calib_trials": 3},
+         "calib_trials: for calibration, not a given beta"),
+        ({"beta": 2.0, "calib_trials": 2000}, "calib_trials: for calibration, not a given beta"),
+        ({"regime": "low", "c1": 9.0}, "c1: for the high regime, not regime low"),
+    ):
+        ignored = tmp_path / "ignored.json"
+        ignored.write_text(json.dumps({"seed": 1, **extra}))
+        code = main(["simulate", "--config", str(ignored), "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and message in captured.err, extra
     # options of the high regime given to the low one, and calibration options
     # given with a beta, which would be ignored; rejected before the sample is read
     good_csv = tmp_path / "good.csv"

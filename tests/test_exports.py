@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import signalnorm
-from signalnorm import calibration, harness, highdim, lowdim, pipeline, slope
+from signalnorm import calibration, harness, highdim, lowdim, model, pipeline, slope
 
 SUBMODULES = sorted(
     (importlib.import_module(f"signalnorm.{info.name}")
@@ -46,8 +46,9 @@ def test_perfbench_traced_functions_resolve(monkeypatch):
     assert tracing.TRACED and unresolved == []
 
 
-# Each tuning constant's default, stated by every library function that takes it
-# (as (function, parameter)); the CLI states none and forwards only what is given.
+# Each tuning constant's and entry law's default, stated by every library callable
+# that takes it (as (callable, parameter)); the CLI states no tuning default and
+# forwards only what is given.
 DEFAULT_OWNERS = {
     "alpha": [(f, "alpha") for f in (pipeline.estimate, pipeline.detect,
                                      calibration.calibrate_beta, lowdim.estimate_lowdim,
@@ -58,13 +59,15 @@ DEFAULT_OWNERS = {
     "delta": [(f, "delta") for f in (pipeline.detect, calibration.calibrate_beta,
                                      harness.summarize, harness.report)],
     "calib_trials": [(pipeline.detect, "calib_trials"), (calibration.calibrate_beta, "trials")],
+    "design": [(calibration.calibrate_beta, "design"), (model.ModelSpec, "design")],
+    "noise": [(calibration.calibrate_beta, "noise"), (model.ModelSpec, "noise")],
 }
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_OWNERS))
 def test_library_defaults_agree_with_config(name):
-    """The library and `ExperimentConfig` each state a tuning constant's default;
-    they state the same one."""
+    """The library and `ExperimentConfig` each state a tuning constant's or an
+    entry law's default; they state the same one."""
     expected = getattr(harness.ExperimentConfig(seed=0), name)
     got = {f"{func.__qualname__}({param})": inspect.signature(func).parameters[param].default
            for func, param in DEFAULT_OWNERS[name]}

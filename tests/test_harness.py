@@ -10,6 +10,7 @@ from signalnorm import (
 )
 from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
 from signalnorm.lower_bounds import q_lower_bound, rate_sq
+from signalnorm.model import DESIGN_LAWS, NOISE_LAWS
 
 
 def tiny_config(**overrides):
@@ -81,6 +82,15 @@ class TestConfig:
         own rule when the config loads, before any trial runs."""
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_dict({"seed": 1, key: value})
+
+    def test_fields_a_run_reads_stay_valid(self):
+        """Only fields a run would ignore are rejected: `"beta": null` beside
+        `calib_trials`, `c1` with the auto regime, and `delta` with a given beta
+        (it is also the level of the summary's quantiles) all load."""
+        for data in ({"task": "detect", "beta": None, "calib_trials": 20},
+                     {"regime": "auto", "c1": 2.0},
+                     {"task": "detect", "beta": 2.0, "delta": 0.2}):
+            ExperimentConfig.from_dict({"seed": 1, **data})
 
     def test_grid_points_fix_regime_and_rows(self):
         """The "auto" regime is low iff p <= n/2, and each point's row budget is
@@ -198,6 +208,35 @@ class TestRunTrials:
         assert len(records) == len(calls) == 4
         assert all(r.error == "ValueError: no null statistic" and r.q_hat is not None
                    and r.decision is None for r in records)
+
+    def test_detect_calibrates_under_config_laws(self):
+        """A detect run's beta is the one `calibrate_beta` gives under the
+        config's design and noise laws, not the Gaussian one."""
+        laws = dict(design="uniform-scaled", noise="scaled-rademacher-mixture")
+        config = tiny_config(task="detect", n=[24], s_rule="p", calib_trials=50, **laws)
+        point = config.grid_points()[0]
+        betas = {}
+        run_single_trial(config, point, _trial_seed(config.seed, 0, 0), betas)
+        args = dict(p=point["p"], N=point["n_used"], s=point["s"], delta=config.delta,
+                    regime=point["regime"], alpha=config.alpha, c1=config.c1,
+                    trials=config.calib_trials, seed=config.seed)
+        assert betas == {24: calibration.calibrate_beta(**args, **laws)}
+        assert betas[24] != calibration.calibrate_beta(**args)
+
+    @pytest.mark.parametrize("design", sorted(DESIGN_LAWS))
+    @pytest.mark.parametrize("noise", sorted(NOISE_LAWS))
+    def test_calibrated_level_under_each_law(self, design, noise):
+        """Null rejection rate of a low-regime detect run (N = 80, p = 10) with
+        beta calibrated on 500 nulls of the same laws, over 500 trials: within
+        0.057 of delta = 0.1, three binomial standard errors of the difference
+        of two 500-trial rates, 3 sqrt(2 * 0.1 * 0.9 / 500)."""
+        config = ExperimentConfig.from_dict(dict(
+            seed=7, task="detect", regime="low", n=[40], p_rule="10", s_rule="p",
+            magnitude=[0.0], replications=500, calib_trials=500, design=design, noise=noise))
+        records = run_trials(config)
+        assert all(r.error is None for r in records)
+        rate = np.mean([r.decision for r in records])
+        assert abs(rate - config.delta) <= 3 * np.sqrt(2 * 0.1 * 0.9 / 500)
 
 
 class TestFitRate:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from signalnorm import (
     Dimensions,
     ModelSpec,
+    OlsFit,
     RegressionSample,
     SingularDesignError,
     detect,
@@ -61,6 +62,26 @@ def ols_reference(X1, Y1):
     return theta_hat, np.diag(gram_inverse), sigma_hat
 
 
+def ols_fit_svd_guard(X1, Y1):
+    """`ols_fit` with the rank guard as first written: QR, the SVD of R on
+    every call, then the inverse.  The certified fit must match it bit for bit."""
+    X1 = np.asarray(X1, dtype=float)
+    Y1 = np.asarray(Y1, dtype=float)
+    n, p = X1.shape
+    R_aug = np.linalg.qr(np.column_stack([X1, Y1]), mode="r")
+    R = R_aug[:p, :p]
+    svals = np.linalg.svd(R, compute_uv=False)
+    if svals[0] == 0 or svals[-1] < _SINGULAR_RTOL * svals[0]:
+        raise SingularDesignError(
+            f"design is numerically singular: singular values in [{svals[-1]:.3e}, {svals[0]:.3e}]"
+        )
+    R_inv = np.linalg.inv(R)
+    theta_hat = R_inv @ R_aug[:p, p]
+    sigma_hat = float(abs(R_aug[p, p]) / np.sqrt(n - p))
+    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=(R_inv**2).sum(axis=1),
+                  sigma_hat=sigma_hat)
+
+
 def design_with_spectrum(n, svals, rng):
     """An n x p design whose singular values are `svals`, up to rounding."""
     p = len(svals)
@@ -79,6 +100,17 @@ def ols_inputs(draw):
     X = rng.standard_normal((n, p))
     if draw(st.booleans()):
         X *= 10.0 ** rng.uniform(-3, 3, size=p)
+    return X, rng.standard_normal(n)
+
+
+@st.composite
+def near_threshold_inputs(draw):
+    """Designs with sigma_min/sigma_max between 1e-12 and 1e-8, on both sides of
+    the guard at 1e-10 and of the certificate near 2e-10, with a Gaussian response."""
+    p = draw(st.integers(2, 12))
+    n = p + draw(st.integers(1, 36))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = design_with_spectrum(n, np.geomspace(1.0, 10.0 ** draw(st.floats(-12, -8)), p), rng)
     return X, rng.standard_normal(n)
 
 
@@ -180,6 +212,46 @@ class TestOlsFit:
                     fit(X, Y)
             else:
                 fit(X, Y)
+
+    @PROPERTY
+    @given(st.one_of(ols_inputs(), near_threshold_inputs()))
+    def test_certificate_matches_svd_guard(self, XY):
+        """The certificate never accepts a design that the SVD guard rejects, nor
+        rejects one it accepts: both raise the same message, or both return the
+        same bits."""
+        X, Y = XY
+        try:
+            want = ols_fit_svd_guard(X, Y)
+        except SingularDesignError as exc:
+            with pytest.raises(SingularDesignError) as got:
+                ols_fit(X, Y)
+            assert str(got.value) == str(exc)
+            return
+        got = ols_fit(X, Y)
+        assert np.array_equal(got.theta_hat, want.theta_hat)
+        assert np.array_equal(got.gram_inverse_diag, want.gram_inverse_diag)
+        assert got.sigma_hat == want.sigma_hat
+
+    def test_svd_only_when_not_certified(self, monkeypatch):
+        """Well-conditioned designs are certified without an SVD; a design at
+        sigma_min/sigma_max = 1e-12 and an all-zero one take exactly one, and
+        are rejected."""
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rng = np.random.default_rng(11)
+        for n, p in ((100, 50), (200, 100)):
+            ols_fit(rng.standard_normal((n, p)), rng.standard_normal(n))
+        assert calls == []
+        for X in (design_with_spectrum(40, np.geomspace(1.0, 1e-12, 5), rng), np.zeros((6, 2))):
+            with pytest.raises(SingularDesignError, match="numerically singular"):
+                ols_fit(X, rng.standard_normal(len(X)))
+        assert calls == [(5, 5), (2, 2)]
 
 
 class TestBranchRule:
