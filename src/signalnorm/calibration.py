@@ -7,8 +7,10 @@ null with unit noise and taking the upper-delta quantile of
 
     T = lambda_hat / (sigma_hat * sqrt(s log(1 + sqrt(p)/s) / N)).
 
-:func:`calibrate_beta` is a pure function of its arguments; a caller that
-needs one beta many times keeps it (see :func:`signalnorm.harness.run_trials`).
+:func:`calibrate_beta` is a pure function of its arguments.  The library calls
+it only from :func:`signalnorm.pipeline.decide`, when no beta is given; a caller
+that needs one beta many times keeps the one `decide` returns (see
+:func:`signalnorm.harness.run_single_trial`).
 """
 
 from __future__ import annotations

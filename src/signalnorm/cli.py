@@ -161,14 +161,14 @@ def _cmd_lower_bound(args) -> dict:
     sigma = 1.0 if args.sigma is None else args.sigma
     q_bar = None if args.kappa is None else lower_bounds.q_lower_bound(
         args.p, args.N, args.s, sigma, args.kappa)
+    mgf = lower_bounds.hypergeometric_mgf_bound(args.p, bundle.s_prior, args.N, tau)
     return {
         "A": bundle.A,
         "r": bundle.r,
         "rho": bundle.rho,
         "q_bar": q_bar,
-        "mgf": lower_bounds.hypergeometric_mgf_bound(args.p, bundle.s_prior, args.N, tau),
-        "bayes_risk_bound": lower_bounds.bayes_testing_risk_bound(
-            args.p, bundle.s_prior, args.N, tau),
+        "mgf": mgf,
+        "bayes_risk_bound": lower_bounds._risk_from_mgf(mgf),
     }
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, lower_bounds, pipeline
+from . import lower_bounds, pipeline
 from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
 from .quadratic import split_parts
 
@@ -202,6 +202,9 @@ class ExperimentConfig:
             raise ValueError("calib_trials: for calibration, not a given beta")
         if "c1" in data and data.get("regime") == "low":
             raise ValueError("c1: for the high regime, not regime low")
+        detect_only = [k for k in ("beta", "calib_trials") if data.get(k) is not None]
+        if detect_only and data.get("task") != "detect":
+            raise ValueError(f"{', '.join(detect_only)}: for task detect only")
         return cls(**data)
 
     @classmethod
@@ -293,8 +296,8 @@ def run_single_trial(
     config: ExperimentConfig, point: dict, trial_seed: int, betas: dict
 ) -> TrialRecord:
     """Execute one replication at one grid point; exceptions become error tags.
-    A detect task without a configured beta takes it from `betas`, the betas
-    by n that the caller keeps across trials, or calibrates it into them."""
+    A detect task decides at the configured beta, else at the one for n in `betas`,
+    kept across trials and calibrated by :func:`signalnorm.pipeline.decide` if missing."""
     n, p, s = point["n"], point["p"], point["s"]
     regime, n_used = point["regime"], point["n_used"]
     sigma, magnitude = point["sigma"], point["magnitude"]
@@ -315,13 +318,11 @@ def run_single_trial(
         record.err_lambda = est.lambda_hat - record.true_lambda
         if config.task == "detect":
             beta = config.beta if config.beta is not None else betas.get(n)
-            if beta is None:
-                beta = betas[n] = calibration.calibrate_beta(
-                    p=p, N=n_used, s=s, delta=config.delta, regime=regime, alpha=config.alpha,
-                    c1=config.c1, trials=config.calib_trials, seed=config.seed,
-                    design=config.design, noise=config.noise,
-                )
-            record.decision = pipeline.decide(est, s, p, beta)[0]
+            record.decision, _, betas[n] = pipeline.decide(
+                est, s, p, beta, delta=config.delta, alpha=config.alpha,
+                c1=config.c1, trials=config.calib_trials, seed=config.seed,
+                design=config.design, noise=config.noise,
+            )
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     return record

@@ -103,7 +103,11 @@ def hypergeometric_mgf_bound(p: int, s: int, N: int, tau: float) -> float:
 def bayes_testing_risk_bound(p: int, s: int, N: int, tau: float) -> float:
     """Lower bound on type I + type II errors of any test of the two-point
     experiment: 1 - sqrt(E[cross moment] - 1), clamped below at 0."""
-    mgf = hypergeometric_mgf_bound(p, s, N, tau)
+    return _risk_from_mgf(hypergeometric_mgf_bound(p, s, N, tau))
+
+
+def _risk_from_mgf(mgf: float) -> float:
+    """The risk bound 1 - sqrt(mgf - 1), clamped below at 0, from the overlap MGF."""
     return float(max(1.0 - np.sqrt(max(mgf - 1.0, 0.0)), 0.0))
 
 

@@ -4,8 +4,8 @@ Both regimes run the same split-sample pipeline and differ only in the
 preliminary stage: least squares for n > p (:mod:`signalnorm.lowdim`), the
 square-root sorted-L1 fit for p >~ n (:mod:`signalnorm.highdim`).  The test
 compares the norm estimate with :func:`detection_threshold`, where N counts
-the rows the estimate consumed and beta, when not given, is calibrated on
-simulated nulls (:mod:`signalnorm.calibration`).
+the rows the estimate consumed.  Only :func:`decide` calibrates beta on
+simulated nulls (:mod:`signalnorm.calibration`) when none is given.
 """
 
 from __future__ import annotations
@@ -43,14 +43,19 @@ def estimate(
     raise ValueError(f"unknown regime {regime!r}; expected 'low' or 'high'")
 
 
-def decide(est: FunctionalEstimate, s: int, p: int, beta: float) -> tuple[int, float]:
-    """The detection rule applied to an estimate at the constant `beta`:
-    ``(decision, threshold)``, with decision 1 when the norm estimate reaches
-    the threshold."""
+def decide(est: FunctionalEstimate, s: int, p: int, beta: float | None,
+           **calibration_args) -> tuple[int, float, float]:
+    """The detection rule applied to an estimate: ``(decision, threshold, beta)``,
+    with decision 1 when the norm estimate reaches the threshold.  A None `beta`
+    is calibrated on nulls of the estimate's regime and row count, by
+    :func:`signalnorm.calibration.calibrate_beta` with `calibration_args`."""
+    if beta is None:
+        beta = calibration.calibrate_beta(p=p, N=est.n_used, s=s, regime=est.regime,
+                                          **calibration_args)
     if not 0 < beta < np.inf:
         raise ValueError(f"beta must be finite and positive, got {beta}")
     threshold = detection_threshold(beta, est.sigma_hat, s, p, est.n_used)
-    return int(est.lambda_hat >= threshold), threshold
+    return int(est.lambda_hat >= threshold), threshold, beta
 
 
 def detect(
@@ -66,14 +71,10 @@ def detect(
 ) -> tuple[int, float, float, float]:
     """Test theta = 0: ``(decision, lambda_hat, threshold, beta)``.
 
-    When `beta` is None it is calibrated at level `delta` on `calib_trials`
-    simulated nulls of the estimate's regime, with the same `alpha` and `c1`.
+    When `beta` is None, :func:`decide` calibrates it at level `delta` on
+    `calib_trials` nulls of the estimate's regime, with the same `alpha` and `c1`.
     """
     est = estimate(sample, s, regime, alpha, c1)
-    if beta is None:
-        beta = calibration.calibrate_beta(
-            p=sample.p, N=est.n_used, s=s, delta=delta, regime=est.regime,
-            alpha=alpha, c1=c1, trials=calib_trials, seed=calib_seed,
-        )
-    decision, threshold = decide(est, s, sample.p, beta)
+    decision, threshold, beta = decide(est, s, sample.p, beta, delta=delta, alpha=alpha, c1=c1,
+                                       trials=calib_trials, seed=calib_seed)
     return decision, est.lambda_hat, threshold, beta

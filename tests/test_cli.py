@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _build_parser, main
-from signalnorm.harness import CSV_COLUMNS, ExperimentConfig, read_records, run_trials
+from signalnorm.harness import (
+    CSV_COLUMNS,
+    ExperimentConfig,
+    _trial_seed,
+    read_records,
+    run_single_trial,
+    run_trials,
+)
 from signalnorm.model import (
     Dimensions,
     ModelSpec,
@@ -29,8 +36,10 @@ from signalnorm.quadratic import sparse_branch
 from signalnorm.slope import sqrt_slope_fit
 
 # Seeded `simulate` files, `rates` and `lower-bound` stdout and detection
-# thresholds, recorded before the rate and the report helpers were folded;
-# any change to the bytes of a report shows here.
+# thresholds, recorded before the rate and the report helpers were folded; the
+# last three `REPORT_CONFIGS` and every calibrated beta were recorded before
+# calibration moved into `pipeline.decide`.  Any change to the bytes of a report
+# or a beta shows here.
 REPORT_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "reports.json").read_text())
 
 # `gen` arguments for a wide, a tall and a small sample, with the sha256 of the
@@ -38,9 +47,12 @@ REPORT_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "reports.json")
 # the CSV writer moved off the csv module.
 GEN_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "gen.json").read_text())
 
-# Three small `simulate` configs: low-regime detection with a calibrated beta,
-# the high regime's sparse branch over 2 noise levels x 2 magnitudes, and its
-# dense branch over 3 sizes, which writes `rate_fits`.
+# Small `simulate` configs: low-regime detection with a calibrated beta, the
+# high regime's sparse branch over 2 noise levels x 2 magnitudes, and its dense
+# branch over 3 sizes, which writes `rate_fits`; then detection with a calibrated
+# beta on each high-regime branch (the sparse one at N = 3n) and in the low
+# regime under non-Gaussian laws, each beta a real null quantile, not the 1.0
+# fallback.
 REPORT_CONFIGS = {
     "low-detect": {
         "seed": 3, "task": "detect", "regime": "low", "replications": 4, "n": [40],
@@ -55,6 +67,20 @@ REPORT_CONFIGS = {
     "high-dense": {
         "seed": 7, "task": "estimate-norm", "regime": "high", "replications": 2,
         "n": [16, 24, 32], "p_rule": "n", "s_rule": "p", "sigma": [1.0], "magnitude": [1.0],
+    },
+    "high-sparse-detect": {
+        "seed": 9, "task": "detect", "regime": "high", "replications": 2, "n": [30],
+        "p_rule": "2*n", "s_rule": "2", "magnitude": [0.0, 4.0], "alpha": 1.0,
+        "calib_trials": 40,
+    },
+    "high-dense-detect": {
+        "seed": 13, "task": "detect", "regime": "high", "replications": 2, "n": [16],
+        "p_rule": "n", "s_rule": "p", "magnitude": [0.0, 2.0], "calib_trials": 40,
+    },
+    "low-detect-laws": {
+        "seed": 17, "task": "detect", "regime": "low", "replications": 2, "n": [40],
+        "p_rule": "n/4", "s_rule": "2", "magnitude": [0.0, 2.0], "alpha": 1.0,
+        "calib_trials": 40, "design": "uniform-scaled", "noise": "scaled-rademacher-mixture",
     },
 }
 
@@ -105,6 +131,14 @@ def _report_outputs(tmp_path):
         out["lower_bound"][name] = _stdout_of("lower-bound", *argv)
     out["detection_threshold"] = [detection_threshold(*shape).hex()
                                   for shape in THRESHOLD_SHAPES]
+    # The decisions show a beta only where one flips; its bits, by n, show it all.
+    out["calibrated_beta"] = {}
+    for name, config in REPORT_CONFIGS.items():
+        cfg, betas = ExperimentConfig.from_dict(config), {}
+        if cfg.task == "detect" and cfg.beta is None:
+            for point in cfg.grid_points():
+                run_single_trial(cfg, point, _trial_seed(cfg.seed, point["index"], 0), betas)
+            out["calibrated_beta"][name] = {str(n): beta.hex() for n, beta in betas.items()}
     return out
 
 
@@ -316,6 +350,24 @@ def test_lower_bound_matches_library(capsys):
     assert out["bayes_risk_bound"] >= 0.5 - 1e-9
 
 
+def test_lower_bound_evaluates_the_overlap_mgf_once(monkeypatch, capsys):
+    """`mgf` and `bayes_risk_bound` come from one evaluation of the overlap MGF."""
+    from signalnorm import lower_bounds
+
+    calls = []
+    real = lower_bounds.hypergeometric_mgf_bound
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lower_bounds, "hypergeometric_mgf_bound", counting)
+    for name, argv in LOWER_BOUND_ARGS.items():
+        calls.clear()
+        assert run_cli(capsys, "lower-bound", *argv)[0] == EXIT_OK
+        assert len(calls) == 1, name
+
+
 def test_exit_code_config_errors(tmp_path, capsys):
     # missing input file
     code = main(["estimate", "--regime", "low", "--s", "1", "--input", str(tmp_path / "nope.csv")])
@@ -364,6 +416,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
          "calib_trials: for calibration, not a given beta"),
         ({"beta": 2.0, "calib_trials": 2000}, "calib_trials: for calibration, not a given beta"),
         ({"regime": "low", "c1": 9.0}, "c1: for the high regime, not regime low"),
+        ({"task": "estimate-q", "beta": 2.0}, "beta: for task detect only"),
+        ({"calib_trials": 20}, "calib_trials: for task detect only"),
+        ({"task": "estimate-norm", "beta": 2.0, "delta": 0.2}, "beta: for task detect only"),
     ):
         ignored = tmp_path / "ignored.json"
         ignored.write_text(json.dumps({"seed": 1, **extra}))

@@ -86,10 +86,12 @@ class TestConfig:
     def test_fields_a_run_reads_stay_valid(self):
         """Only fields a run would ignore are rejected: `"beta": null` beside
         `calib_trials`, `c1` with the auto regime, and `delta` with a given beta
-        (it is also the level of the summary's quantiles) all load."""
+        (it is also the level of the summary's quantiles) all load, as do
+        `"beta": null` and `delta` in an estimate task."""
         for data in ({"task": "detect", "beta": None, "calib_trials": 20},
                      {"regime": "auto", "c1": 2.0},
-                     {"task": "detect", "beta": 2.0, "delta": 0.2}):
+                     {"task": "detect", "beta": 2.0, "delta": 0.2},
+                     {"task": "estimate-q", "beta": None, "delta": 0.2}):
             ExperimentConfig.from_dict({"seed": 1, **data})
 
     def test_grid_points_fix_regime_and_rows(self):

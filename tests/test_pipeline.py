@@ -17,7 +17,7 @@ from signalnorm import (
     sample_sparse_theta,
     synthesize,
 )
-from signalnorm.calibration import statistic
+from signalnorm.calibration import calibrate_beta, statistic
 from signalnorm.pipeline import decide
 
 # (N, p, s) per regime, one shape on each branch: sparse when s^2 <= p.
@@ -127,6 +127,21 @@ def test_estimate_without_noise_estimate_cannot_be_tested():
         decide(est, 2, 9, 1.0)
     with pytest.raises(ValueError, match="no noise estimate"):
         statistic(est, 2, 9)
+
+
+@pytest.mark.parametrize("regime, shape", [("low", SHAPES["low"][0]), ("high", SHAPES["high"][0])],
+                         ids=["low", "high-sparse"])
+def test_decide_calibrates_at_the_estimates_rows_and_regime(regime, shape):
+    """Without a beta, `decide` calibrates on nulls of the estimate's regime
+    and rows, 3n on the sparse branch, and decides as at that beta given."""
+    N, p, s = shape
+    theta = sample_sparse_theta(p, s, 2.0, rng=np.random.default_rng(5))
+    sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=N, p=p, s=s), 5)
+    est = estimate(sample, s, regime, alpha=1.0)
+    assert est.n_used == N and est.parts == {"low": 2, "high": 3}[regime]
+    args = dict(trials=40, seed=3, alpha=1.0, c1=2.0)
+    beta = calibrate_beta(p=p, N=est.n_used, s=s, regime=est.regime, **args)
+    assert decide(est, s, p, None, **args) == (*decide(est, s, p, beta)[:2], beta)
 
 
 def test_unknown_regime():
