@@ -14,7 +14,10 @@ iteration reusing the residual its line search accepted.  The prox of the
 sorted-L1 norm is the isotonic fit of Bogdan et al. (AoAS 2015): a
 stack-based pool-adjacent-violators pass over the sorted magnitudes minus
 the weights, which stops after the last entry that is not clearly negative,
-since every later entry comes out as exactly zero.
+since every later entry comes out as exactly zero.  For the same reason it
+sorts only the magnitudes that are not clearly below the smallest weight:
+the others form the tail of the sorted order, and none of them can lead the
+cut.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     after the last difference that is not clearly negative: a block holding a
     later one averages below zero and merges only with blocks lower still, so
     all of them output zero and the result is bit-identical to a full pass.
+
+    Only the magnitudes m with m - w[-1] not clearly negative are sorted, and
+    that is exact: every weight is at least w[-1], so any other magnitude is
+    clearly negative at every sorted position and never leads the cut, and
+    as ties share candidacy, the candidates come first in the full stable
+    order.  A NaN sorts last among them but behind every magnitude in the
+    full order; the ones in between only add blocks that output zero.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -92,14 +102,16 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     if np.any(np.diff(w) > 0):
         raise ValueError("weights must be nonincreasing")
 
-    mags = np.abs(v)
-    order = np.argsort(-mags, kind="stable")
-    diff = mags[order] - w
-
     # "Clearly negative" is <= -tiny rather than < 0, so that no average of
     # the cut blocks could underflow to the -0.0 a full pass would output;
     # a NaN stays in the pass.
-    head = np.flatnonzero(~(diff <= -np.finfo(float).tiny))
+    tiny = np.finfo(float).tiny
+    mags = np.abs(v)
+    # Sort only the candidates; w[-1:] rather than w[-1] keeps p = 0 valid.
+    cand = np.flatnonzero(~(mags - w[-1:] <= -tiny))
+    order = cand[np.argsort(-mags[cand], kind="stable")]
+    diff = mags[order] - w[: order.size]
+    head = np.flatnonzero(~(diff <= -tiny))
     cut = head[-1] + 1 if head.size else 0
 
     # Stack of blocks (start index, running sum, average), merged whenever the

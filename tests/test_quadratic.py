@@ -1,5 +1,7 @@
 """Tests for the per-coordinate quadratic estimates and the dense/sparse sums."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 from signalnorm import (
     component_estimates,
     debias,
+    quadratic,
     sample_sparse_theta,
     sparse_threshold,
 )
 from signalnorm.quadratic import quadratic_stage
+
+CHUNK = quadratic._CHUNK
 
 
 def naive_components(prelim, X2, Y2):
@@ -27,6 +32,53 @@ def naive_components(prelim, X2, Y2):
                     cross += X2[k, j] * X2[l, j] * r[k] * r[l]
         a[j] = prelim[j] ** 2 + (2 * prelim[j] / n) * (X2[:, j] @ r) + cross / (n * (n - 1))
     return a
+
+
+def full_width_components(prelim, X2, Y2):
+    """The coordinate estimates as first written: numpy's axis-0 sums of the full
+    n x p product and of its square, kept as the bit-exact reference for the
+    chunked and column-restricted sums."""
+    n = X2.shape[0]
+    r = Y2 - X2 @ prelim
+    weighted = X2 * r[:, None]
+    col_dot = weighted.sum(axis=0)
+    col_sq = (weighted**2).sum(axis=0)
+    pair_sum = (col_dot**2 - col_sq) / (n * (n - 1))
+    return prelim**2 + (2.0 / n) * prelim * col_dot + pair_sum
+
+
+def column_subset(kind, p, rng):
+    """Sorted column indices: none, one, all, or a share of the p columns such
+    as "10%" (few enough to be summed alone) or "30%" (summed with the rest)."""
+    if kind == "empty":
+        return np.array([], dtype=np.intp)
+    if kind == "one":
+        return np.array([rng.integers(p)])
+    if kind == "all":
+        return np.arange(p)
+    return np.flatnonzero(rng.random(p) < float(kind[:-1]) / 100)
+
+
+KINDS = ["empty", "one", "all", "10%", "30%"]
+
+
+def block(n, p, layout, seed):
+    """A seeded (prelim, X2, Y2) with X2 laid out as `layout`: "C" (rows one
+    after another), "F" (columns one after another) or "csv" (every column of
+    a wider row-major array but its first, as read_sample returns), and a
+    residual that is exactly zero in some rows, so that signed zeros enter
+    the column sums."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "csv":
+        X = np.hstack([np.zeros((n, 1)), X])[:, 1:]
+    prelim = rng.standard_normal(p) * (rng.random(p) < 0.5)
+    Y = X @ prelim
+    noisy = rng.random(n) < 0.7
+    Y[noisy] += rng.standard_normal(int(noisy.sum()))
+    return prelim, X, Y
 
 
 def dense_q(prelim, X2, Y2):
@@ -77,6 +129,43 @@ class TestComponentEstimates:
         fast = component_estimates(prelim, X, Y)
         slow = naive_components(prelim, X, Y)
         np.testing.assert_allclose(fast, slow, rtol=1e-10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 40),
+        p=st.integers(1, 40),
+        layout=st.sampled_from(["C", "F", "csv"]),
+        chunk=st.sampled_from([CHUNK, 1, 5, 64]),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_full_width(self, n, p, layout, chunk, kind, seed):
+        """Every layout and chunk size gives the bits of the full-width product,
+        and `cols` gives exactly those entries of the full-width output."""
+        prelim, X, Y = block(n, p, layout, seed)
+        cols = column_subset(kind, p, np.random.default_rng(seed))
+        with mock.patch.object(quadratic, "_CHUNK", chunk):
+            full = component_estimates(prelim, X, Y)
+            part = component_estimates(prelim, X, Y, cols)
+        assert full.tobytes() == full_width_components(prelim, X, Y).tobytes()
+        assert part.tobytes() == full[cols].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (2, 5),  # the fewest rows the pair sum allows
+            (333, 777),  # two chunks, the second one short
+            (750, 3000),  # wide-estimate's dense block: many chunks, the last one short
+            (3, CHUNK + 3),  # wider than a chunk: one row per chunk
+        ],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_at_the_real_chunk(self, n, p, kind):
+        prelim, X, Y = block(n, p, "C", seed=n + p)
+        cols = column_subset(kind, p, np.random.default_rng(p))
+        full = component_estimates(prelim, X, Y)
+        assert full.tobytes() == full_width_components(prelim, X, Y).tobytes()
+        assert component_estimates(prelim, X, Y, cols).tobytes() == full[cols].tobytes()
 
     def test_conditionally_unbiased_per_coordinate(self):
         """Mean of a_j over fresh data blocks hits theta_j^2 within 3 SE."""
@@ -172,6 +261,23 @@ class TestQSparse:
         assert sparse_threshold(1.0, np.ones(2), 1.0, 2, 1)[0] == tau
         out = sparse_q(np.zeros(2), np.array([tau, 0.0]), np.ones(2), 1.0, X2, Y2)
         assert out == 0.0
+
+    def test_nothing_kept_gives_positive_zero(self):
+        """With no coordinate kept the sum is empty: +0.0, never -0.0."""
+        prelim, X2, Y2 = block(500, 3000, "C", seed=1)
+        est = quadratic_stage(prelim, 1.0, X2, Y2, 8, 4.0, (np.zeros(3000), 1.0, np.ones(3000)),
+                              "high", 3)
+        assert est.branch == "sparse"
+        assert est.q_hat.hex() == est.lambda_hat.hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("n, p", [(200, 100), (750, 3000)])
+    def test_every_coordinate_kept_matches_dense_bits(self, n, p):
+        """The column-restricted sums over every column reproduce the dense
+        branch's chunked sums on the same block, bit for bit."""
+        prelim, X2, Y2 = block(n, p, "C", seed=p)
+        bar = np.random.default_rng(p).standard_normal(p)  # almost surely nonzero
+        kept = sparse_q(prelim, bar, np.zeros(p), 1.0, X2, Y2)
+        assert kept.hex() == dense_q(prelim, X2, Y2).hex()
 
     def test_screening_length_checked(self):
         X2, Y2 = self._toy()

@@ -215,10 +215,63 @@ class TestProxSortedL1:
             assert prox_objective(x, v, w) <= prox_objective(g, v, w) + 1e-9
 
     @PROPERTY
-    @given(prox_inputs(FINITE))
-    def test_bit_identical_to_reference(self, vw):
+    @given(prox_inputs(FINITE),
+           st.lists(st.tuples(st.integers(0, 11), st.sampled_from([-np.inf, np.inf, np.nan])),
+                    max_size=3))
+    def test_bit_identical_to_reference(self, vw, specials):
+        """Also with up to three entries of v set to +-inf or NaN (the weights stay finite)."""
         v, w = vw
+        for i, x in specials:
+            v[i % len(v)] = x
         assert prox_sorted_l1(v, w).tobytes() == prox_reference(v, w).tobytes()
+
+    @pytest.mark.parametrize(
+        "v, w",
+        [
+            ([np.nan, 3.0, 0.1, -0.2], [1.0, 0.9, 0.8, 0.5]),
+            ([0.1, -np.nan, 5.0, 0.2, 0.3], [1.0, 0.9, 0.8, 0.5, 0.4]),
+            ([0.1, 0.2, np.nan], [0.0, 0.0, 0.0]),
+            ([0.1, 0.2, 0.3, np.nan], [9.0, 9.0, 9.0, 9.0]),
+        ],
+    )
+    def test_nan_behind_the_magnitudes_left_unsorted(self, v, w):
+        """The full sort puts a NaN behind the magnitudes that cannot lead the
+        cut, which the fast prox leaves unsorted; the outputs still match."""
+        v, w = np.array(v), np.array(w)
+        assert prox_sorted_l1(v, w).tobytes() == prox_reference(v, w).tobytes()
+
+    @pytest.mark.parametrize("case", ["below", "at", "ulp_below", "ulp_above", "subnormal_last",
+                                      "zero_weights", "weights_above"])
+    def test_p3000_bit_identical_to_reference(self, case):
+        """At wide-estimate's p, with most magnitudes at or next to the smallest
+        weight, where the candidates for sorting begin; with zero weights every
+        magnitude is a candidate, with weights above every magnitude none is."""
+        p = 3000
+        rng = np.random.default_rng(sum(map(ord, case)))
+        w = 0.01 * np.sqrt(500) * slope_weights(p, 500)  # a solver step times its weights
+        last = w[-1]
+        mags = rng.uniform(0.0, 3.0 * w[0], p)
+        bulk = rng.random(p) < 0.8
+        if case == "below":
+            mags[bulk] = rng.uniform(0.0, last, int(bulk.sum()))
+        elif case == "at":
+            mags[bulk] = last
+        elif case == "ulp_below":
+            mags[bulk] = np.nextafter(last, 0.0)
+        elif case == "ulp_above":
+            mags[bulk] = np.nextafter(last, np.inf)
+        elif case == "subnormal_last":  # 0 - w[-1] lies in (-tiny, 0): zero magnitudes stay
+            w[-p // 3 :] = 1e-310
+            mags[bulk] = 0.0
+        elif case == "zero_weights":
+            w = np.zeros(p)
+        else:
+            w = w + mags.max() + 1.0
+        v = np.where(rng.random(p) < 0.5, -mags, mags)
+        x = prox_sorted_l1(v, w)
+        assert x.tobytes() == prox_reference(v, w).tobytes()
+        if case == "weights_above":
+            assert np.all(x == 0)
 
     @PROPERTY
     @given(prox_inputs(BOUNDED))
