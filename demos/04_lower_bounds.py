@@ -18,7 +18,7 @@ for delta in (0.1, 0.3, 0.5):
     bundle = sn.minimax_testing_lower_radius(p, N, s, delta)
     tau = sn.tau_from_rho(bundle.r)
     mgf = sn.hypergeometric_mgf_bound(p, bundle.s_prior, N, tau)
-    risk = sn.bayes_testing_risk_bound(p, bundle.s_prior, N, tau)
+    risk = sn.risk_from_mgf(mgf)
     cap = np.exp(2 * bundle.A**2)
     print(f"  delta={delta}: A={bundle.A:.4f}  rho={bundle.rho:.5f}  r={bundle.r:.5f}  "
           f"MGF={mgf:.5f} (cap {cap:.5f})  risk bound={risk:.4f}")

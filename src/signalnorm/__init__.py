@@ -16,27 +16,21 @@ The library provides:
   estimation are impossible (:mod:`signalnorm.lower_bounds`);
 - a seeded Monte Carlo harness with CSV/JSON reporting and log-log rate
   fitting (:mod:`signalnorm.harness`).
+
+The package re-exports the tasks, their lower bounds and the harness; other
+building blocks are imported from their modules.
 """
 
 from .calibration import calibrate_beta
-from .harness import (
-    ExperimentConfig,
-    RateFit,
-    TrialRecord,
-    fit_rate,
-    report,
-    run_trials,
-    summarize,
-)
+from .harness import ExperimentConfig, report, run_trials
 from .highdim import estimate_highdim
-from .lowdim import OlsFit, SingularDesignError, estimate_lowdim, ols_fit
+from .lowdim import SingularDesignError, estimate_lowdim
 from .lower_bounds import (
-    RadiusBundle,
-    bayes_testing_risk_bound,
     chi2_cross,
     hypergeometric_mgf_bound,
     minimax_testing_lower_radius,
     q_lower_bound,
+    risk_from_mgf,
     tau_from_rho,
 )
 from .model import (
@@ -45,40 +39,21 @@ from .model import (
     RegressionSample,
     read_sample,
     sample_sparse_theta,
-    split_sample,
     synthesize,
     write_sample,
 )
 from .pipeline import detect, detection_threshold, estimate
-from .quadratic import (
-    FunctionalEstimate,
-    component_estimates,
-    debias,
-    sparse_threshold,
-)
-from .slope import (
-    SlopeFit,
-    prox_sorted_l1,
-    slope_weights,
-    sorted_l1_norm,
-    sqrt_slope_fit,
-)
+from .slope import prox_sorted_l1, slope_weights, sorted_l1_norm, sqrt_slope_fit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dimensions", "ModelSpec", "RegressionSample",
-    "synthesize", "sample_sparse_theta", "split_sample",
-    "write_sample", "read_sample",
-    "FunctionalEstimate", "component_estimates",
-    "debias", "sparse_threshold",
-    "OlsFit", "SingularDesignError", "ols_fit", "estimate_lowdim",
-    "SlopeFit", "slope_weights", "sorted_l1_norm",
-    "prox_sorted_l1", "sqrt_slope_fit", "estimate_highdim",
+    "synthesize", "sample_sparse_theta", "write_sample", "read_sample",
+    "SingularDesignError", "estimate_lowdim",
+    "slope_weights", "sorted_l1_norm", "prox_sorted_l1", "sqrt_slope_fit", "estimate_highdim",
     "estimate", "detect", "detection_threshold",
-    "RadiusBundle", "tau_from_rho",
-    "chi2_cross", "hypergeometric_mgf_bound", "bayes_testing_risk_bound",
+    "tau_from_rho", "chi2_cross", "hypergeometric_mgf_bound", "risk_from_mgf",
     "minimax_testing_lower_radius", "q_lower_bound",
-    "ExperimentConfig", "TrialRecord", "RateFit", "run_trials", "fit_rate",
-    "summarize", "report", "calibrate_beta",
+    "ExperimentConfig", "run_trials", "report", "calibrate_beta",
 ]

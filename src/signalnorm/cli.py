@@ -168,7 +168,7 @@ def _cmd_lower_bound(args) -> dict:
         "rho": bundle.rho,
         "q_bar": q_bar,
         "mgf": mgf,
-        "bayes_risk_bound": lower_bounds._risk_from_mgf(mgf),
+        "bayes_risk_bound": lower_bounds.risk_from_mgf(mgf),
     }
 
 

@@ -23,7 +23,7 @@ __all__ = [
     "tau_from_rho",
     "chi2_cross",
     "hypergeometric_mgf_bound",
-    "bayes_testing_risk_bound",
+    "risk_from_mgf",
     "minimax_testing_lower_radius",
     "q_lower_bound",
 ]
@@ -100,14 +100,10 @@ def hypergeometric_mgf_bound(p: int, s: int, N: int, tau: float) -> float:
     return float(np.exp(log_mgf))
 
 
-def bayes_testing_risk_bound(p: int, s: int, N: int, tau: float) -> float:
+def risk_from_mgf(mgf: float) -> float:
     """Lower bound on type I + type II errors of any test of the two-point
-    experiment: 1 - sqrt(E[cross moment] - 1), clamped below at 0."""
-    return _risk_from_mgf(hypergeometric_mgf_bound(p, s, N, tau))
-
-
-def _risk_from_mgf(mgf: float) -> float:
-    """The risk bound 1 - sqrt(mgf - 1), clamped below at 0, from the overlap MGF."""
+    experiment: 1 - sqrt(E[cross moment] - 1), clamped below at 0, where
+    ``mgf`` = E[cross moment] is :func:`hypergeometric_mgf_bound`'s value."""
     return float(max(1.0 - np.sqrt(max(mgf - 1.0, 0.0)), 0.0))
 
 

@@ -14,6 +14,11 @@ import pytest
 
 import signalnorm as sn
 from signalnorm.calibration import calibrate_beta
+from signalnorm.harness import fit_rate
+from signalnorm.lowdim import ols_fit
+from signalnorm.quadratic import component_estimates
+from test_quadratic import naive_components
+from test_slope import grid_prox_2d
 
 
 def _emit(num, name, ok, detail):
@@ -33,7 +38,7 @@ def test_01_dense_estimator_conditionally_unbiased():
     for i in range(reps):
         X = rng.standard_normal((n, p))
         Y = X @ theta + rng.standard_normal(n)
-        vals[i] = sn.component_estimates(prelim, X, Y).sum()
+        vals[i] = component_estimates(prelim, X, Y).sum()
     se = vals.std(ddof=1) / np.sqrt(reps)
     dev = abs(vals.mean() - true_q)
     ok = dev <= 4 * se
@@ -44,20 +49,6 @@ def test_01_dense_estimator_conditionally_unbiased():
 # --------------------------------------------------------------------------
 # 2. Fast pair-sum evaluation equals the literal double sum
 # --------------------------------------------------------------------------
-def _naive_components(prelim, X2, Y2):
-    n, p = X2.shape
-    r = Y2 - X2 @ prelim
-    a = np.empty(p)
-    for j in range(p):
-        cross = 0.0
-        for k in range(n):
-            for l in range(n):
-                if k != l:
-                    cross += X2[k, j] * X2[l, j] * r[k] * r[l]
-        a[j] = prelim[j] ** 2 + (2 * prelim[j] / n) * (X2[:, j] @ r) + cross / (n * (n - 1))
-    return a
-
-
 def test_02_componentwise_estimates_match_brute_force():
     rng = np.random.default_rng(22)
     worst = 0.0
@@ -65,8 +56,8 @@ def test_02_componentwise_estimates_match_brute_force():
         X = rng.standard_normal((5, 4))
         Y = rng.standard_normal(5)
         prelim = rng.standard_normal(4)
-        fast = sn.component_estimates(prelim, X, Y)
-        slow = _naive_components(prelim, X, Y)
+        fast = component_estimates(prelim, X, Y)
+        slow = naive_components(prelim, X, Y)
         worst = max(worst, float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300))))
     ok = worst <= 1e-10
     _emit(2, "pair-sum equals brute force", ok, f"worst relative gap = {worst:.2e} (<= 1e-10)")
@@ -76,28 +67,13 @@ def test_02_componentwise_estimates_match_brute_force():
 # --------------------------------------------------------------------------
 # 3. Sorted-L1 prox agrees with a grid-search minimizer in 2-d
 # --------------------------------------------------------------------------
-def _grid_prox_2d(v, w, levels=4, points=161):
-    center = np.zeros(2)
-    width = float(np.max(np.abs(v)) + w[0] + 1.0)
-    for _ in range(levels):
-        g = np.linspace(-width, width, points)
-        xx, yy = np.meshgrid(center[0] + g, center[1] + g, indexing="ij")
-        hi = np.maximum(np.abs(xx), np.abs(yy))
-        lo = np.minimum(np.abs(xx), np.abs(yy))
-        f = 0.5 * ((xx - v[0]) ** 2 + (yy - v[1]) ** 2) + w[0] * hi + w[1] * lo
-        i, j = np.unravel_index(np.argmin(f), f.shape)
-        center = np.array([xx[i, j], yy[i, j]])
-        width = 8.0 * (2 * width / (points - 1))
-    return center
-
-
 def test_03_prox_matches_grid_search():
     rng = np.random.default_rng(33)
     worst = 0.0
     for _ in range(200):
         v = rng.uniform(-4, 4, 2)
         w = np.sort(rng.uniform(0, 2, 2))[::-1]
-        gap = float(np.linalg.norm(sn.prox_sorted_l1(v, w) - _grid_prox_2d(v, w)))
+        gap = float(np.linalg.norm(sn.prox_sorted_l1(v, w) - grid_prox_2d(v, w)))
         worst = max(worst, gap)
     ok = worst <= 1e-3
     _emit(3, "prox equals 2-d grid minimizer", ok, f"worst distance = {worst:.2e} (<= 1e-3)")
@@ -158,7 +134,7 @@ def test_05_dense_lowdim_null_rate():
             )
             vals[i] = sn.estimate_lowdim(sample, p).lambda_hat ** 2
         points.append((n, float(vals.mean())))
-    slope = sn.fit_rate(points).slope
+    slope = fit_rate(points).slope
     ok = -1.3 <= slope <= -0.7
     _emit(5, "dense null risk log-log slope", ok, f"slope = {slope:.3f} (required [-1.3, -0.7])")
     assert ok
@@ -179,7 +155,7 @@ def test_06_sparse_highdim_null_rate():
             )
             vals[i] = sn.estimate_highdim(sample, s, alpha=alpha).lambda_hat ** 2
         points.append((n, float(vals.mean())))
-    slope = sn.fit_rate(points).slope
+    slope = fit_rate(points).slope
     ok = -1.35 <= slope <= -0.65
     _emit(6, "sparse high-dim null risk slope", ok, f"slope = {slope:.3f} (required [-1.35, -0.65])")
     assert ok
@@ -288,7 +264,7 @@ def test_10_lower_bound_chain():
                     bundle = sn.minimax_testing_lower_radius(p, N, s, delta)
                     tau = sn.tau_from_rho(bundle.r)
                     mgf = sn.hypergeometric_mgf_bound(p, s, N, tau)
-                    risk = sn.bayes_testing_risk_bound(p, s, N, tau)
+                    risk = sn.risk_from_mgf(mgf)
                     worst_excess = max(worst_excess, mgf - cap)
                     worst_risk_gap = min(worst_risk_gap, risk - delta)
                     checked += 1
@@ -315,7 +291,7 @@ def test_11_noise_estimate_accuracy():
                 X = rng.standard_normal((n, p))
                 Y = X @ theta + sigma * rng.standard_normal(n)
                 if kind == "ols":
-                    sigma_hat = sn.ols_fit(X, Y).sigma_hat
+                    sigma_hat = ols_fit(X, Y).sigma_hat
                 else:
                     sigma_hat = sn.sqrt_slope_fit(X, Y).sigma_hat
                 hits += abs(sigma_hat / sigma - 1.0) <= 0.3

@@ -1,5 +1,6 @@
-"""The public names: every ``__all__`` entry resolves, none is listed twice, and
-the library functions state the same tuning defaults as the config."""
+"""The public names: every ``__all__`` entry resolves, none is listed twice, each
+package-level name has one home module, and the library functions state the
+same tuning defaults as the config."""
 
 import importlib
 import importlib.util
@@ -25,6 +26,16 @@ MODULES = [module for module in SUBMODULES if hasattr(module, "__all__")]
 def test_package_all_resolves_without_duplicates():
     assert len(set(signalnorm.__all__)) == len(signalnorm.__all__)
     assert [name for name in signalnorm.__all__ if not hasattr(signalnorm, name)] == []
+
+
+def test_each_package_name_has_one_home():
+    """Each package-level name is declared public by exactly one submodule, and
+    the package re-exports that module's object, so it has one import path."""
+    homes = {name: [m for m in MODULES if name in m.__all__] for name in signalnorm.__all__}
+    assert {name: [m.__name__ for m in found] for name, found in homes.items()
+            if len(found) != 1} == {}
+    assert [name for name, (home,) in homes.items()
+            if getattr(signalnorm, name) is not getattr(home, name)] == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

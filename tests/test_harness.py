@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from signalnorm import (
-    ExperimentConfig, TrialRecord, calibration, fit_rate, pipeline, report, run_trials, summarize,
+from signalnorm import ExperimentConfig, calibration, pipeline, report, run_trials
+from signalnorm.harness import (
+    TrialRecord, _trial_seed, eval_rule, fit_rate, metric_points, read_records, run_single_trial,
+    summarize,
 )
-from signalnorm.harness import _trial_seed, eval_rule, metric_points, read_records, run_single_trial
 from signalnorm.lower_bounds import q_lower_bound, rate_sq
 from signalnorm.model import DESIGN_LAWS, NOISE_LAWS
 

@@ -10,22 +10,20 @@ from signalnorm import (
     ExperimentConfig,
     ModelSpec,
     RegressionSample,
-    component_estimates,
-    debias,
     detect,
     detection_threshold,
     estimate_highdim,
     highdim,
     run_trials,
     sample_sparse_theta,
-    sparse_threshold,
-    split_sample,
     sqrt_slope_fit,
     synthesize,
     write_sample,
 )
 from signalnorm.calibration import calibrate_beta
 from signalnorm.cli import EXIT_NUMERIC, main
+from signalnorm.model import split_sample
+from signalnorm.quadratic import component_estimates, debias, sparse_threshold
 
 
 def _sample(N, p, theta=None, sigma=1.0, seed=0):

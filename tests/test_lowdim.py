@@ -13,20 +13,18 @@ from hypothesis import strategies as st
 from signalnorm import (
     Dimensions,
     ModelSpec,
-    OlsFit,
     RegressionSample,
     SingularDesignError,
     detect,
     detection_threshold,
     estimate,
     estimate_lowdim,
-    fit_rate,
-    ols_fit,
     sample_sparse_theta,
     synthesize,
 )
 from signalnorm.calibration import calibrate_beta
-from signalnorm.lowdim import _SINGULAR_RTOL
+from signalnorm.harness import fit_rate
+from signalnorm.lowdim import _SINGULAR_RTOL, OlsFit, ols_fit
 
 # Seeded low-regime `estimate` and `detect` outputs as float.hex strings,
 # recorded with the SVD least squares that `ols_reference` keeps.

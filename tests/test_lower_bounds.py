@@ -10,13 +10,13 @@ from signalnorm import (
     Dimensions,
     ModelSpec,
     RegressionSample,
-    bayes_testing_risk_bound,
     chi2_cross,
     detection_threshold,
     estimate_lowdim,
     hypergeometric_mgf_bound,
     minimax_testing_lower_radius,
     q_lower_bound,
+    risk_from_mgf,
     sample_sparse_theta,
     synthesize,
     tau_from_rho,
@@ -141,16 +141,16 @@ class TestHypergeometricMgf:
 class TestBayesRiskBound:
     def test_zero_tau_degenerate(self):
         # the MGF at tau = 0 is exactly 1, so no risk is lost to rounding
-        assert bayes_testing_risk_bound(10, 2, 5, 0.0) == 1.0
+        assert risk_from_mgf(hypergeometric_mgf_bound(10, 2, 5, 0.0)) == 1.0
 
     def test_clamped_at_zero(self):
-        assert bayes_testing_risk_bound(4, 2, 1000, 0.9) == 0.0
+        assert risk_from_mgf(hypergeometric_mgf_bound(4, 2, 1000, 0.9)) == 0.0
 
     def test_matched_radius_recovers_delta(self):
         # p=100, s=5, N=200, delta=0.5: the bound at tau(r) is at least delta
         bundle = minimax_testing_lower_radius(100, 200, 5, 0.5)
         tau = tau_from_rho(bundle.r)
-        assert bayes_testing_risk_bound(100, 5, 200, tau) >= 0.5 - 1e-9
+        assert risk_from_mgf(hypergeometric_mgf_bound(100, 5, 200, tau)) >= 0.5 - 1e-9
 
 
 class TestLowerRadius:
@@ -209,7 +209,7 @@ def test_no_test_beats_the_bayes_bound():
     p, N, s, delta = 16, 64, 3, 0.5
     bundle = minimax_testing_lower_radius(p, N, s, delta)
     tau = tau_from_rho(bundle.r)
-    bound = bayes_testing_risk_bound(p, s, N, tau)
+    bound = risk_from_mgf(hypergeometric_mgf_bound(p, s, N, tau))
     sigma_alt = float(np.sqrt(1 - tau**2))
     trials = 500
     se = np.sqrt(2 * 0.25 / trials)

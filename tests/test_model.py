@@ -13,11 +13,10 @@ from signalnorm import (
     RegressionSample,
     read_sample,
     sample_sparse_theta,
-    split_sample,
     synthesize,
     write_sample,
 )
-from signalnorm.model import DESIGN_LAWS, NOISE_LAWS
+from signalnorm.model import DESIGN_LAWS, NOISE_LAWS, split_sample
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

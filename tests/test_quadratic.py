@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signalnorm import (
-    component_estimates,
-    debias,
-    quadratic,
-    sample_sparse_theta,
-    sparse_threshold,
-)
-from signalnorm.quadratic import quadratic_stage
+from signalnorm import quadratic, sample_sparse_theta
+from signalnorm.quadratic import component_estimates, debias, quadratic_stage, sparse_threshold
 
 CHUNK = quadratic._CHUNK
 
