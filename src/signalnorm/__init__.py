@@ -23,8 +23,7 @@ building blocks are imported from their modules.
 
 from .calibration import calibrate_beta
 from .harness import ExperimentConfig, report, run_trials
-from .highdim import estimate_highdim
-from .lowdim import SingularDesignError, estimate_lowdim
+from .lowdim import SingularDesignError
 from .lower_bounds import (
     chi2_cross,
     hypergeometric_mgf_bound,
@@ -50,8 +49,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Dimensions", "ModelSpec", "RegressionSample",
     "synthesize", "sample_sparse_theta", "write_sample", "read_sample",
-    "SingularDesignError", "estimate_lowdim",
-    "slope_weights", "sorted_l1_norm", "prox_sorted_l1", "sqrt_slope_fit", "estimate_highdim",
+    "SingularDesignError",
+    "slope_weights", "sorted_l1_norm", "prox_sorted_l1", "sqrt_slope_fit",
     "estimate", "detect", "detection_threshold",
     "tau_from_rho", "chi2_cross", "hypergeometric_mgf_bound", "risk_from_mgf",
     "minimax_testing_lower_radius", "q_lower_bound",

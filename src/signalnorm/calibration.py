@@ -35,8 +35,8 @@ def calibrate_beta(
     p: int,
     N: int,
     s: int,
+    regime: str,
     delta: float = 0.1,
-    regime: str = "low",
     alpha: float = 4.0,
     c1: float = 1.5,
     trials: int = 2000,

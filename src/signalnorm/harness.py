@@ -121,7 +121,7 @@ class ExperimentConfig:
     """Grid and tuning for one Monte Carlo experiment."""
 
     seed: int
-    task: str = "estimate-norm"  # "estimate-norm" | "estimate-q" | "detect"
+    task: str = "estimate-norm"  # "estimate-norm" | "detect"
     regime: str = "auto"  # "low" | "high" | "auto"
     replications: int = 1
     n: list[int] = field(default_factory=lambda: [64])
@@ -140,7 +140,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self._check_types()
-        if self.task not in ("estimate-norm", "estimate-q", "detect"):
+        if self.task not in ("estimate-norm", "detect"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.regime not in ("low", "high", "auto"):
             raise ValueError(f"unknown regime {self.regime!r}")

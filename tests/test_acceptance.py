@@ -15,7 +15,8 @@ import pytest
 import signalnorm as sn
 from signalnorm.calibration import calibrate_beta
 from signalnorm.harness import fit_rate
-from signalnorm.lowdim import ols_fit
+from signalnorm.highdim import estimate_highdim
+from signalnorm.lowdim import estimate_lowdim, ols_fit
 from signalnorm.quadratic import component_estimates
 from test_quadratic import naive_components
 from test_slope import grid_prox_2d
@@ -132,7 +133,7 @@ def test_05_dense_lowdim_null_rate():
             sample = sn.synthesize(
                 sn.ModelSpec(theta=np.zeros(p), sigma=1.0), sn.Dimensions(N=2 * n, p=p, s=p), child
             )
-            vals[i] = sn.estimate_lowdim(sample, p).lambda_hat ** 2
+            vals[i] = estimate_lowdim(sample, p).lambda_hat ** 2
         points.append((n, float(vals.mean())))
     slope = fit_rate(points).slope
     ok = -1.3 <= slope <= -0.7
@@ -153,7 +154,7 @@ def test_06_sparse_highdim_null_rate():
             sample = sn.synthesize(
                 sn.ModelSpec(theta=np.zeros(p), sigma=1.0), sn.Dimensions(N=3 * n, p=p, s=s), child
             )
-            vals[i] = sn.estimate_highdim(sample, s, alpha=alpha).lambda_hat ** 2
+            vals[i] = estimate_highdim(sample, s, alpha=alpha).lambda_hat ** 2
         points.append((n, float(vals.mean())))
     slope = fit_rate(points).slope
     ok = -1.35 <= slope <= -0.65
@@ -176,7 +177,7 @@ def test_07_detection_level_and_power():
         sample = sn.synthesize(
             sn.ModelSpec(theta=np.zeros(p), sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child
         )
-        est = sn.estimate_lowdim(sample, s, alpha=alpha)
+        est = estimate_lowdim(sample, s, alpha=alpha)
         rejections += int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
     level = rejections / null_trials
 
@@ -189,7 +190,7 @@ def test_07_detection_level_and_power():
         sample = sn.synthesize(
             sn.ModelSpec(theta=theta, sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child.spawn(1)[0]
         )
-        est = sn.estimate_lowdim(sample, s, alpha=alpha)
+        est = estimate_lowdim(sample, s, alpha=alpha)
         detections += int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
     power = detections / alt_trials
 

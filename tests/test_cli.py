@@ -60,7 +60,7 @@ REPORT_CONFIGS = {
         "alpha": 1.0, "calib_trials": 40,
     },
     "high-sparse": {
-        "seed": 5, "task": "estimate-q", "regime": "high", "replications": 2, "n": [30],
+        "seed": 5, "task": "estimate-norm", "regime": "high", "replications": 2, "n": [30],
         "p_rule": "2*n", "s_rule": "2", "sigma": [0.5, 1.0], "magnitude": [0.0, 4.0],
         "alpha": 1.0,
     },
@@ -189,6 +189,23 @@ def test_gen_goldens(tmp_path, capsys):
         assert {k: hashlib.sha256(v).hexdigest() for k, v in files.items()} == \
             GEN_GOLDENS["sha256"][name], name
     assert {k: v.decode() for k, v in files.items()} == GEN_GOLDENS["small"]
+
+
+@pytest.mark.xfail(strict=True, reason="gen draws theta from SeedSequence(seed)'s second "
+                   "child, the stream synthesize draws the noise from; a fix changes gen's data")
+def test_gen_noise_is_not_the_theta_stream(tmp_path, capsys):
+    """`gen` draws theta's support from a stream of its own, not from the one
+    `synthesize` draws the noise from, so the support and the noise are independent."""
+    path = tmp_path / "s.csv"
+    code, _ = run_cli(capsys, "gen", "--N", "50", "--p", "20", "--s", "3", "--magnitude", "1",
+                      "--seed", "7", "--out", str(path))
+    assert code == EXIT_OK
+    sample = read_sample(path)
+    truth = json.loads(path.with_suffix(".csv.truth.json").read_text())
+    noise = (sample.Y - sample.X @ np.array(truth["theta"])) / truth["sigma"]
+    theta_stream = np.random.SeedSequence(entropy=7, spawn_key=(1,))
+    assert not np.allclose(noise, np.random.default_rng(theta_stream).standard_normal(50),
+                           rtol=0, atol=1e-12)
 
 
 def test_estimate_low(sample_csv, capsys):
@@ -389,7 +406,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
     assert code == EXIT_CONFIG
-    # tuning and data laws that the config rejects when it loads, rather than
+    # tuning, data laws and tasks that the config rejects when it loads, rather than
     # tagging every trial with the same error; values of the wrong type, rather
     # than a TypeError traceback; empty grids, rather than a run of no trials
     for key, value in (("alpha", -1.0), ("beta", 0.0), ("delta", 1.5), ("calib_trials", 0),
@@ -399,7 +416,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
                        ("alpha", float("inf")), ("beta", float("nan")), ("c1", -1.0),
                        ("c1", float("nan")), ("sigma", [float("nan")]),
                        ("magnitude", [float("nan")]), ("magnitude", [float("inf")]),
-                       ("replications", 0), ("n", 64)):
+                       ("replications", 0), ("n", 64), ("task", "estimate-q")):
         bad3 = tmp_path / f"bad-{key}.json"
         bad3.write_text(json.dumps({"seed": 1, "task": "detect", key: value}))
         code = main(["simulate", "--config", str(bad3), "--out-dir", str(tmp_path / "out")])
@@ -416,7 +433,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
          "calib_trials: for calibration, not a given beta"),
         ({"beta": 2.0, "calib_trials": 2000}, "calib_trials: for calibration, not a given beta"),
         ({"regime": "low", "c1": 9.0}, "c1: for the high regime, not regime low"),
-        ({"task": "estimate-q", "beta": 2.0}, "beta: for task detect only"),
+        ({"task": "estimate-norm", "beta": 2.0}, "beta: for task detect only"),
         ({"calib_trials": 20}, "calib_trials: for task detect only"),
         ({"task": "estimate-norm", "beta": 2.0, "delta": 0.2}, "beta: for task detect only"),
     ):

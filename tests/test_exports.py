@@ -1,11 +1,12 @@
 """The public names: every ``__all__`` entry resolves, none is listed twice, each
-package-level name has one home module, and the library functions state the
-same tuning defaults as the config."""
+package-level name has one home module, the README cites only package names, and
+the library functions state the same tuning defaults as the config."""
 
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def test_each_package_name_has_one_home():
             if len(found) != 1} == {}
     assert [name for name, (home,) in homes.items()
             if getattr(signalnorm, name) is not getattr(home, name)] == []
+
+
+def test_readme_cites_only_package_names():
+    """Every `sn.<name>` in the README is in the package's `__all__`, so a name
+    that leaves the namespace cannot stay behind in the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cited = set(re.findall(r"\bsn\.(\w+)", readme))
+    assert cited and sorted(cited - set(signalnorm.__all__)) == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from signalnorm import ExperimentConfig, calibration, pipeline, report, run_trials
+from signalnorm import ExperimentConfig, calibration, harness, pipeline, report, run_trials
 from signalnorm.harness import (
     TrialRecord, _trial_seed, eval_rule, fit_rate, metric_points, read_records, run_single_trial,
     summarize,
@@ -70,6 +70,8 @@ class TestConfig:
     def test_task_regime_validation(self):
         with pytest.raises(ValueError):
             tiny_config(task="classify")
+        with pytest.raises(ValueError, match="unknown task 'estimate-q'"):
+            ExperimentConfig.from_dict({"seed": 1, "task": "estimate-q"})
         with pytest.raises(ValueError):
             tiny_config(regime="medium")
 
@@ -92,7 +94,7 @@ class TestConfig:
         for data in ({"task": "detect", "beta": None, "calib_trials": 20},
                      {"regime": "auto", "c1": 2.0},
                      {"task": "detect", "beta": 2.0, "delta": 0.2},
-                     {"task": "estimate-q", "beta": None, "delta": 0.2}):
+                     {"task": "estimate-norm", "beta": None, "delta": 0.2}):
             ExperimentConfig.from_dict({"seed": 1, **data})
 
     def test_grid_points_fix_regime_and_rows(self):
@@ -140,6 +142,25 @@ class TestRunTrials:
         summary = summarize(records)
         assert summary["points"][0]["errors"] == 2
         assert "mse_q" not in summary["points"][0]
+
+    def test_singular_design_tagged_not_fatal(self, monkeypatch):
+        """A trial whose least squares design is singular is tagged with the
+        `SingularDesignError` (a `LinAlgError`), and the next trial runs."""
+        real, calls = harness.synthesize, []
+
+        def duplicating(*args):
+            sample = real(*args)
+            calls.append(sample.N)
+            if len(calls) == 1:  # the first trial's design repeats its first column
+                sample.X[:, 1] = sample.X[:, 0]
+            return sample
+
+        monkeypatch.setattr(harness, "synthesize", duplicating)
+        records = run_trials(tiny_config(n=[16]))
+        assert len(records) == len(calls) == 2
+        assert records[0].error.startswith(
+            "SingularDesignError: design is numerically singular") and records[0].q_hat is None
+        assert records[1].error is None and records[1].q_hat is not None
 
     def test_error_fields_recomputable(self):
         for rec in run_trials(tiny_config(magnitude=[1.0])):

@@ -12,7 +12,6 @@ from signalnorm import (
     RegressionSample,
     detect,
     detection_threshold,
-    estimate_highdim,
     highdim,
     run_trials,
     sample_sparse_theta,
@@ -22,6 +21,7 @@ from signalnorm import (
 )
 from signalnorm.calibration import calibrate_beta
 from signalnorm.cli import EXIT_NUMERIC, main
+from signalnorm.highdim import estimate_highdim
 from signalnorm.model import split_sample
 from signalnorm.quadratic import component_estimates, debias, sparse_threshold
 

@@ -18,13 +18,12 @@ from signalnorm import (
     detect,
     detection_threshold,
     estimate,
-    estimate_lowdim,
     sample_sparse_theta,
     synthesize,
 )
 from signalnorm.calibration import calibrate_beta
 from signalnorm.harness import fit_rate
-from signalnorm.lowdim import _SINGULAR_RTOL, OlsFit, ols_fit
+from signalnorm.lowdim import _SINGULAR_RTOL, OlsFit, estimate_lowdim, ols_fit
 
 # Seeded low-regime `estimate` and `detect` outputs as float.hex strings,
 # recorded with the SVD least squares that `ols_reference` keeps.

@@ -12,7 +12,6 @@ from signalnorm import (
     RegressionSample,
     chi2_cross,
     detection_threshold,
-    estimate_lowdim,
     hypergeometric_mgf_bound,
     minimax_testing_lower_radius,
     q_lower_bound,
@@ -22,6 +21,7 @@ from signalnorm import (
     tau_from_rho,
 )
 from signalnorm.calibration import calibrate_beta
+from signalnorm.lowdim import estimate_lowdim
 
 
 def brute_force_overlap_mgf(p, s, N, tau):

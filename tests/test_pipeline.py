@@ -12,12 +12,12 @@ from signalnorm import (
     detect,
     detection_threshold,
     estimate,
-    estimate_highdim,
-    estimate_lowdim,
     sample_sparse_theta,
     synthesize,
 )
 from signalnorm.calibration import calibrate_beta, statistic
+from signalnorm.highdim import estimate_highdim
+from signalnorm.lowdim import estimate_lowdim
 from signalnorm.pipeline import decide
 
 # (N, p, s) per regime, one shape on each branch: sparse when s^2 <= p.
@@ -142,6 +142,13 @@ def test_decide_calibrates_at_the_estimates_rows_and_regime(regime, shape):
     args = dict(trials=40, seed=3, alpha=1.0, c1=2.0)
     beta = calibrate_beta(p=p, N=est.n_used, s=s, regime=est.regime, **args)
     assert decide(est, s, p, None, **args) == (*decide(est, s, p, beta)[:2], beta)
+
+
+def test_calibrate_beta_needs_a_regime():
+    """The null's regime has no default, as in `estimate`: a call without one
+    fails instead of calibrating on low-regime nulls."""
+    with pytest.raises(TypeError, match="regime"):
+        calibrate_beta(p=8, N=32, s=2, trials=10)
 
 
 def test_unknown_regime():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from signalnorm import (
     Dimensions,
     ModelSpec,
-    estimate_highdim,
     prox_sorted_l1,
     sample_sparse_theta,
     slope_weights,
@@ -20,6 +19,7 @@ from signalnorm import (
     sqrt_slope_fit,
     synthesize,
 )
+from signalnorm.highdim import estimate_highdim
 
 # Seeded solver and pipeline outputs as float.hex strings, recorded with the
 # numpy-scalar prox that `prox_reference` keeps; any change to the iterates
