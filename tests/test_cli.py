@@ -602,7 +602,8 @@ def test_import_does_not_load_scipy(tmp_path):
     """Every CLI process pays for what `import signalnorm.cli` loads: scipy.optimize
     alone measured about 0.2 s and 24 MB there, scipy.linalg 55 ms and
     scipy.special most of the rest.  The package needs no scipy at all: with
-    scipy blocked, the import loads no scipy module and `lower-bound` still runs."""
+    scipy blocked, the import loads no scipy module and `lower-bound` still runs.
+    Nor does it load `subprocess`, which only a split calibration imports."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -620,3 +621,4 @@ def test_import_does_not_load_scipy(tmp_path):
     loaded = proc.stdout.splitlines()[0].split()
     assert "signalnorm.slope" in loaded and "signalnorm.lower_bounds" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert "subprocess" not in loaded

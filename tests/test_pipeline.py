@@ -1,10 +1,17 @@
 """Property tests of the split-sample pipeline that both regimes share."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from signalnorm import calibration
 from signalnorm import (
     Dimensions,
     ModelSpec,
@@ -19,6 +26,8 @@ from signalnorm.calibration import calibrate_beta, statistic
 from signalnorm.highdim import estimate_highdim
 from signalnorm.lowdim import estimate_lowdim
 from signalnorm.pipeline import decide
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # (N, p, s) per regime, one shape on each branch: sparse when s^2 <= p.
 SHAPES = {
@@ -149,6 +158,112 @@ def test_calibrate_beta_needs_a_regime():
     fails instead of calibrating on low-regime nulls."""
     with pytest.raises(TypeError, match="regime"):
         calibrate_beta(p=8, N=32, s=2, trials=10)
+
+
+class _WorkerCannotImport(Warning):
+    """A warning category the worker interpreters cannot unpickle: this test
+    module is not importable there."""
+
+
+def _children() -> set[str]:
+    """Process ids of the live children of this process, over all its threads."""
+    return {pid for f in Path("/proc/self/task").glob("*/children") for pid in f.read_text().split()}
+
+
+def _calibrate_over(workers, monkeypatch, **args):
+    """`calibrate_beta(**args)` with its trials split over `workers` worker
+    interpreters (1: the serial loop), whatever its size and the host's cores,
+    and the null statistics it took the quantile of."""
+    split, seen = calibration._statistics, []
+
+    def statistics(job, trials, _):
+        seen.append(split(job, trials, workers))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "_statistics", statistics)
+        beta = calibrate_beta(**args)
+    return seen[0], beta
+
+
+# Trial counts that neither 2 nor 3 workers divide evenly.
+SPLIT_CASES = {
+    "low": dict(p=10, N=60, s=2, regime="low", alpha=1.0, trials=37, seed=4),
+    "high": dict(p=60, N=45, s=2, regime="high", alpha=1.0, trials=23, seed=6),
+    "low-non-gaussian": dict(p=10, N=60, s=2, regime="low", alpha=1.0, trials=31, seed=8,
+                             design="uniform-scaled", noise="scaled-rademacher-mixture"),
+    # Every null statistic is 0 here, so beta is the 1.0 fallback.
+    "zero-atom": dict(p=400, N=600, s=3, regime="high", alpha=4.0, trials=11, seed=0),
+}
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("case, workers",
+                         [(case, 2) for case in sorted(SPLIT_CASES)] + [("high", 3), ("low", 3)])
+def test_split_calibration_is_bit_identical(case, workers, monkeypatch):
+    """Split over worker interpreters, a calibration gives the serial loop's
+    statistics and beta bit for bit, leaves the caller's environment as it was
+    and no child process behind."""
+    args = SPLIT_CASES[case]
+    environ, before = dict(os.environ), _children()
+    stats, beta = _calibrate_over(1, monkeypatch, **args)
+    assert stats.shape == (args["trials"],)
+    if case == "zero-atom":
+        assert not stats.any() and beta == 1.0
+    split_stats, split_beta = _calibrate_over(workers, monkeypatch, **args)
+    assert split_stats.tobytes() == stats.tobytes()
+    assert np.float64(split_beta).tobytes() == np.float64(beta).tobytes()
+    assert _children() == before
+    assert dict(os.environ) == environ
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+def test_split_calibration_raises_as_the_serial_loop(monkeypatch):
+    """A trial that fails in a worker raises the serial loop's exception, type
+    and message; a worker that dies without a result raises RuntimeError with
+    its exit code.  Either way no child process is left behind."""
+    args = dict(SPLIT_CASES["low"], s=11)  # s > p
+    before = _children()
+    with pytest.raises(ValueError) as serial:
+        _calibrate_over(1, monkeypatch, **args)
+    with pytest.raises(ValueError) as split:
+        _calibrate_over(2, monkeypatch, **args)
+    assert str(split.value) == str(serial.value) == "s must satisfy 1 <= s <= p, got s=11, p=10"
+    assert _children() == before
+    with warnings.catch_warnings(), pytest.raises(RuntimeError, match="exited with code 1"):
+        warnings.simplefilter("ignore", _WorkerCannotImport)
+        _calibrate_over(2, monkeypatch, **SPLIT_CASES["low"])
+    assert _children() == before
+
+
+def test_only_large_calibrations_split(monkeypatch):
+    """At most one worker per usable core and per 2**23 draws: the warm-up and
+    n=100 calibrations of the tall benchmark and the CLI session's detect stay
+    serial, and the tall n=200 one and the acceptance battery's split."""
+    monkeypatch.setattr(calibration, "_usable_cores", lambda: 8)
+    count = calibration._worker_count
+    assert count(20, 400, 100) == count(500, 200, 50) == count(200, 400, 100) == 0
+    assert count(500, 400, 100) == 2
+    assert count(2000, 400, 100) == 8
+    assert count(3, 10**6, 10**4) == 3
+
+
+def test_unguarded_caller_runs_once(tmp_path):
+    """A script without a ``__main__`` guard that makes a split calibration runs
+    its body once: the workers never import the caller's main module."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import signalnorm.calibration as calibration\n"
+        "calibration._worker_count = lambda trials, N, p: 2\n"
+        "print('body')\n"
+        f"print(repr(calibration.calibrate_beta(**{SPLIT_CASES['low']!r})))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["body", repr(calibrate_beta(**SPLIT_CASES["low"]))]
 
 
 def test_unknown_regime():
