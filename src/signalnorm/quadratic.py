@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .slope import _matvec
+
 __all__ = [
     "FunctionalEstimate",
     "component_estimates",
@@ -70,7 +72,12 @@ def component_estimates(
 
     The pair sum is evaluated in O(n) per coordinate as
     (sum_k X2[k, j] r_k)^2 - sum_k (X2[k, j] r_k)^2; conditionally on
-    `prelim`, E a_j = theta_j^2.
+    `prelim`, E a_j = theta_j^2.  The product ``X2 @ prelim`` runs over the
+    nonzero coordinates of `prelim` alone when they are at most an eighth of
+    them, as the sparse preliminary fits of the high regime are; it is the
+    full product otherwise, so a dense preliminary fit keeps its bits.  The
+    blocks must be finite, as :class:`signalnorm.model.RegressionSample`
+    guarantees: a non-finite entry off the support would go unseen.
 
     With `cols`, an index array, the result is exactly
     ``component_estimates(prelim, X2, Y2)[cols]``; when `cols` holds at most
@@ -89,7 +96,7 @@ def component_estimates(
         raise ValueError(f"need at least 2 rows for the pair sum, got n={n}")
     if prelim.shape[0] != p or Y2.shape[0] != n:
         raise ValueError("dimension mismatch between prelim, X2, Y2")
-    r = Y2 - X2 @ prelim
+    r = Y2 - _matvec(X2, prelim)
     rows_in_order = p > 1 and X2.strides[0] > X2.strides[1] > 0
     # Gathering columns and taking cumsums costs more per column than the dense
     # sums: at 100 x 50 and 200 x 100 the two break even near a fifth kept.
@@ -118,6 +125,8 @@ def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """One-step correction prelim + X^T (Y - X prelim) / n on an independent block.
 
     Conditionally on `prelim`, the output is an unbiased estimate of theta.
+    ``X @ prelim`` runs over the nonzero coordinates of a sparse `prelim`, as
+    in :func:`component_estimates`, whose finite blocks it takes too.
     """
     prelim = np.asarray(prelim, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -125,7 +134,7 @@ def debias(prelim: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     n, p = X.shape
     if prelim.shape[0] != p or Y.shape[0] != n:
         raise ValueError("dimension mismatch between prelim, X, Y")
-    return prelim + X.T @ (Y - X @ prelim) / n
+    return prelim + X.T @ (Y - _matvec(X, prelim)) / n
 
 
 def sparse_branch(s: int, p: int) -> bool:

@@ -10,14 +10,17 @@ that pairs larger weights with larger magnitudes.  The weight sequence is
 per-observation normalization of the loss, i.e. it minimizes the equivalent
 ``||Y - Xt||_2 + sqrt(n) * ||t||_w`` so that the objective at t = 0 equals
 ``||Y||_2``.  Optimization is proximal gradient with backtracking, each
-iteration reusing the residual its line search accepted.  The prox of the
-sorted-L1 norm is the isotonic fit of Bogdan et al. (AoAS 2015): a
-stack-based pool-adjacent-violators pass over the sorted magnitudes minus
-the weights, which stops after the last entry that is not clearly negative,
-since every later entry comes out as exactly zero.  For the same reason it
-sorts only the magnitudes that are not clearly below the smallest weight:
-the others form the tail of the sorted order, and none of them can lead the
-cut.
+iteration reusing the residual its line search accepted.  The iterates are
+sparse (a few dozen nonzeros out of thousands of columns on wide designs), so
+a residual multiplies only the columns of the iterate's nonzero coordinates
+when they are at most an eighth of them; the gradient's ``X^T r`` stays a
+full product.  The prox of the sorted-L1 norm is the isotonic fit of
+Bogdan et al. (AoAS 2015): a stack-based pool-adjacent-violators pass over
+the sorted magnitudes minus the weights, which stops after the last entry
+that is not clearly negative, since every later entry comes out as exactly
+zero.  For the same reason it sorts only the magnitudes that are not
+clearly below the smallest weight: the others form the tail of the sorted
+order, and none of them can lead the cut.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ __all__ = [
 # Residual norms below this fraction of ||Y||_2 count as exact interpolation;
 # the square-root loss is nondifferentiable there, so iteration stops.
 _INTERPOLATION_GUARD = 1e-10
+
+
+def _matvec(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``X @ x``, over the nonzero coordinates of `x` alone when they are at
+    most an eighth of them (the rule ``component_estimates`` applies to its
+    `cols`); otherwise the full product, bit for bit.  The two agree up to
+    rounding: the zeros add nothing, but the sum runs in another order.  A
+    non-finite entry of `X` in a column where `x` is zero stays out of the
+    support product, so callers take finite `X`."""
+    nz = np.flatnonzero(x)
+    if 8 * nz.size <= x.shape[0]:
+        return X[:, nz] @ x[nz]
+    return X @ x
 
 
 @dataclass(kw_only=True)
@@ -149,7 +165,9 @@ def sqrt_slope_fit(
     -X^T r / ||r||_2 away from r = 0) with sorted-L1 prox steps and a
     halving backtracking line search; stops when the relative objective
     decrease falls below `tol`, on exact interpolation, or at `max_iter`
-    (reported through the `converged` flag, never silently).
+    (reported through the `converged` flag, never silently).  A design or
+    response with a non-finite entry, or whose sum of squares overflows,
+    raises ``ValueError``.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -165,12 +183,16 @@ def sqrt_slope_fit(
     w_eff = np.sqrt(n) * slope_weights(p, n, c1)
 
     norm_y = float(np.linalg.norm(Y1))
+    # einsum neither forms X1**2 nor calls BLAS, whose bits vary with its threads.
+    sum_sq = float(np.einsum("ij,ij->", X1, X1))
+    if not (np.isfinite(sum_sq) and np.isfinite(norm_y)):
+        raise ValueError("X1 and Y1 must be finite, with finite sums of squares")
     x = np.zeros(p)
     obj = norm_y  # objective at zero
-    step = n / max(float((X1**2).sum()), np.finfo(float).tiny)
+    step = n / max(sum_sq, np.finfo(float).tiny)
     converged = False
     iterations = 0
-    r = Y1 - X1 @ x  # then always the residual of x, carried over from the line search
+    r = Y1 - _matvec(X1, x)  # then always the residual of x, carried over from the line search
 
     for iterations in range(1, max_iter + 1):
         norm_r = float(np.linalg.norm(r))
@@ -187,7 +209,7 @@ def sqrt_slope_fit(
         for _ in range(60):
             cand = prox_sorted_l1(x - step * grad, step * w_eff)
             dx = cand - x
-            r_cand = Y1 - X1 @ cand
+            r_cand = Y1 - _matvec(X1, cand)
             g_cand = float(np.linalg.norm(r_cand))
             model = norm_r + float(grad @ dx) + float(dx @ dx) / (2.0 * step)
             if g_cand <= model + 1e-12 * max(1.0, norm_r):

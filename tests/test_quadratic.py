@@ -29,9 +29,11 @@ def naive_components(prelim, X2, Y2):
 
 
 def full_width_components(prelim, X2, Y2):
-    """The coordinate estimates as first written: numpy's axis-0 sums of the full
-    n x p product and of its square, kept as the bit-exact reference for the
-    chunked and column-restricted sums."""
+    """The coordinate estimates as first written: the full product X2 @ prelim,
+    and numpy's axis-0 sums of the full n x p product and of its square, kept
+    as the bit-exact reference for the chunked and column-restricted sums of a
+    prelim with more than an eighth of its coordinates nonzero (as `block`'s
+    are), and within SUPPORT_RTOL of a sparser one."""
     n = X2.shape[0]
     r = Y2 - X2 @ prelim
     weighted = X2 * r[:, None]
@@ -175,6 +177,65 @@ class TestComponentEstimates:
             draws[i] = component_estimates(prelim, X, Y)
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - theta**2), 3 * se)
+
+
+# Gap allowed between the quadratic stage's support products and the full
+# ones, relative to the largest entry: measured at most 4.9e-16 over 40 seeded
+# sparse blocks up to 750 x 3000.  Entries near zero move by more relative to
+# themselves (up to 1.8e-10), as they cancel.
+SUPPORT_RTOL = 1e-12
+
+
+def sparse_block(n, p, nonzero, seed):
+    """A seeded (prelim, X, Y) whose prelim has `nonzero` nonzero coordinates."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    prelim = np.zeros(p)
+    prelim[rng.choice(p, nonzero, replace=False)] = 2 * rng.standard_normal(nonzero)
+    return prelim, X, X @ prelim + rng.standard_normal(n)
+
+
+def assert_close_to_largest(actual, expected):
+    scale = np.max(np.abs(expected), initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=SUPPORT_RTOL * scale)
+
+
+def full_debias(prelim, X, Y):
+    """debias with the full product ``X @ prelim``."""
+    return prelim + X.T @ (Y - X @ prelim) / X.shape[0]
+
+
+class TestSupportProducts:
+    """A preliminary fit with at most an eighth of its coordinates nonzero enters
+    the residual over its support; any other keeps the full product's bits."""
+
+    @pytest.mark.parametrize("n, p, nonzero", [(750, 3000, 16), (500, 3000, 9), (750, 3000, 375),
+                                               (100, 300, 1), (30, 200, 0)])
+    def test_within_tolerance_of_full_products(self, n, p, nonzero):
+        prelim, X, Y = sparse_block(n, p, nonzero, seed=n + nonzero)
+        full = full_width_components(prelim, X, Y)
+        a = component_estimates(prelim, X, Y)
+        assert_close_to_largest(a, full)
+        np.testing.assert_allclose(a.sum(), full.sum(), rtol=SUPPORT_RTOL)
+        assert_close_to_largest(debias(prelim, X, Y), full_debias(prelim, X, Y))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 60), p=st.integers(8, 400), share=st.floats(0.0, 0.125),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drawn_blocks_within_tolerance(self, n, p, share, seed):
+        prelim, X, Y = sparse_block(n, p, int(share * p), seed)
+        assert_close_to_largest(component_estimates(prelim, X, Y),
+                                full_width_components(prelim, X, Y))
+        assert_close_to_largest(debias(prelim, X, Y), full_debias(prelim, X, Y))
+
+    @pytest.mark.parametrize("n, p, nonzero", [(750, 3000, 376), (100, 40, 40), (200, 100, 13)])
+    def test_denser_prelim_is_bit_identical(self, n, p, nonzero):
+        """Past an eighth nonzero, as a low-regime OLS fit always is, the outputs
+        are the full-product forms' bit for bit."""
+        prelim, X, Y = sparse_block(n, p, nonzero, seed=p + nonzero)
+        assert component_estimates(prelim, X, Y).tobytes() == \
+            full_width_components(prelim, X, Y).tobytes()
+        assert debias(prelim, X, Y).tobytes() == full_debias(prelim, X, Y).tobytes()
 
 
 class TestDebias:
