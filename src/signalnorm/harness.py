@@ -4,8 +4,10 @@ A configuration describes a grid over the per-split size n (with the ambient
 dimension and sparsity given as small expressions of n, so they can grow
 together), noise levels, and signal magnitudes.  Every trial derives its own
 seed from the configuration seed and its grid/replication index, so results
-do not depend on execution order.  Trials that raise are recorded with an
-error tag and excluded from aggregates, never silently dropped.
+do not depend on execution order, and a large run splits its estimates and
+null calibrations over one pool of worker interpreters
+(:mod:`signalnorm._workers`).  Trials that raise are recorded with an error
+tag and excluded from aggregates, never silently dropped.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lower_bounds, pipeline
+from . import calibration, lower_bounds, pipeline
 from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
-from .quadratic import split_parts
+from .quadratic import FunctionalEstimate, split_parts
 
 __all__ = [
     "ExperimentConfig",
@@ -292,57 +294,147 @@ def _trial_seed(config_seed: int, point_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_single_trial(
-    config: ExperimentConfig, point: dict, trial_seed: int, betas: dict
-) -> TrialRecord:
-    """Execute one replication at one grid point; exceptions become error tags.
-    A detect task decides at the configured beta, else at the one for n in `betas`,
-    kept across trials and calibrated by :func:`signalnorm.pipeline.decide` if missing."""
+# Errors that tag a trial; any other exception ends the run.
+_TAGGED = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _tag(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _calibration_args(config: ExperimentConfig) -> dict:
+    """The arguments of :func:`signalnorm.calibration.calibrate_beta` that a
+    detect task takes from its config."""
+    return dict(delta=config.delta, alpha=config.alpha, c1=config.c1, trials=config.calib_trials,
+                seed=config.seed, design=config.design, noise=config.noise)
+
+
+def _estimated_trial(
+    config: ExperimentConfig, point: dict, trial_seed: int
+) -> tuple[TrialRecord, FunctionalEstimate | None]:
+    """One replication's record with its estimates, and the estimate; or the
+    record with its error tagged, and None."""
     n, p, s = point["n"], point["p"], point["s"]
-    regime, n_used = point["regime"], point["n_used"]
-    sigma, magnitude = point["sigma"], point["magnitude"]
-    ss = np.random.SeedSequence(trial_seed)
-    ss_theta, ss_sample = ss.spawn(2)
+    ss_theta, ss_sample = np.random.SeedSequence(trial_seed).spawn(2)
     theta = sample_sparse_theta(
-        p, s, magnitude, pattern=config.pattern, rng=np.random.default_rng(ss_theta)
+        p, s, point["magnitude"], pattern=config.pattern, rng=np.random.default_rng(ss_theta)
     )
     record = TrialRecord(config_id=point["config_id"], seed=trial_seed, n=n, p=p, s=s,
-                         sigma=sigma, true_q=float(theta @ theta), n_used=n_used)
+                         sigma=point["sigma"], true_q=float(theta @ theta),
+                         n_used=point["n_used"])
     try:
-        spec = ModelSpec(theta=theta, sigma=sigma, design=config.design, noise=config.noise)
-        sample = synthesize(spec, Dimensions(N=n_used, p=p, s=s), ss_sample)
-        est = pipeline.estimate(sample, s, regime, config.alpha, config.c1)
-        record.q_hat = est.q_hat
-        record.lambda_hat = est.lambda_hat
-        record.err_q = est.q_hat - record.true_q
-        record.err_lambda = est.lambda_hat - record.true_lambda
-        if config.task == "detect":
-            beta = config.beta if config.beta is not None else betas.get(n)
-            record.decision, _, betas[n] = pipeline.decide(
-                est, s, p, beta, delta=config.delta, alpha=config.alpha,
-                c1=config.c1, trials=config.calib_trials, seed=config.seed,
-                design=config.design, noise=config.noise,
-            )
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
+        spec = ModelSpec(theta=theta, sigma=point["sigma"], design=config.design,
+                         noise=config.noise)
+        sample = synthesize(spec, Dimensions(N=point["n_used"], p=p, s=s), ss_sample)
+        est = pipeline.estimate(sample, s, point["regime"], config.alpha, config.c1)
+    except _TAGGED as exc:
+        record.error = _tag(exc)
+        return record, None
+    record.q_hat = est.q_hat
+    record.lambda_hat = est.lambda_hat
+    record.err_q = est.q_hat - record.true_q
+    record.err_lambda = est.lambda_hat - record.true_lambda
+    return record, est
+
+
+def _estimates(config: ExperimentConfig, point: dict, lo: int, hi: int) -> list[tuple]:
+    """Replications lo..hi-1 at `point`, each as :func:`_estimated_trial` gives it."""
+    return [_estimated_trial(config, point, _trial_seed(config.seed, point["index"], rep))
+            for rep in range(lo, hi)]
+
+
+def _decide(config: ExperimentConfig, record: TrialRecord, est: FunctionalEstimate,
+            beta: float | None) -> None:
+    """Record the decision at `beta`, calibrated by :func:`signalnorm.pipeline.decide`
+    when None, or tag the error that deciding raised."""
+    try:
+        record.decision = pipeline.decide(est, record.s, record.p, beta,
+                                          **_calibration_args(config))[0]
+    except _TAGGED as exc:
+        record.error = _tag(exc)
+
+
+def run_single_trial(config: ExperimentConfig, point: dict, trial_seed: int) -> TrialRecord:
+    """Execute one replication at one grid point; exceptions become error tags.
+    A detect task decides at the configured beta, or without one at a beta
+    calibrated for this trial alone: the one :func:`run_trials` calibrates for n."""
+    record, est = _estimated_trial(config, point, trial_seed)
+    if config.task == "detect" and est is not None:
+        _decide(config, record, est, config.beta)
     return record
 
 
+def _calibration_jobs(config: ExperimentConfig, points: list[dict]) -> dict:
+    """The null calibration job of each n, by n, when a detect task has no beta."""
+    if config.task != "detect" or config.beta is not None:
+        return {}
+    jobs = {}
+    for pt in points:
+        if pt["n"] not in jobs:
+            jobs[pt["n"]] = calibration._job(p=pt["p"], N=pt["n_used"], s=pt["s"],
+                                             regime=pt["regime"], **_calibration_args(config))
+    return jobs
+
+
+def _worker_count(config: ExperimentConfig, points: list[dict], jobs: dict) -> int:
+    """Workers for the run, by the draws of every estimate and every calibration."""
+    from . import _workers
+
+    draws = config.replications * sum(pt["n_used"] * (pt["p"] + 1) for pt in points)
+    draws += sum(calibration._draws(job) for job in jobs.values())
+    items = max([config.replications] + [job["trials"] for job in jobs.values()])
+    return _workers.worker_count(draws, items)
+
+
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
-    """All replications over the whole grid, deterministically seeded.
+    """All replications over the whole grid, deterministically seeded, in grid order.
 
     Trial seeds depend only on (config seed, grid index, replication index),
-    so any execution order yields the same multiset of records.  A detect
-    task calibrates beta once per n, on the first trial whose estimate
-    succeeds; p, s, the regime and the rows used are functions of n.
+    so any execution order yields the same multiset of records.  The run has
+    three phases: every trial's estimate; for a detect task without a beta,
+    one null calibration for each n where an estimate succeeded (p, s, the
+    regime and the rows used are functions of n); then every decision, in
+    trial order.  The first two run on one :class:`signalnorm._workers.Pool`,
+    with at most one worker per usable core and per 2**23 draws, each range
+    of replications or null trials on one worker; a smaller run stays in this
+    process.  A trial, or a calibration, gives what it gives serially: bit
+    for bit where BLAS rounds the same with one thread as with the caller's
+    count, else within rounding.
+
+    A calibration that raises a tagged error tags every trial at its n whose
+    estimate succeeded.  An exception that is not tagged is raised from the
+    earliest trial, estimates before calibrations.
     """
-    betas: dict = {}  # only successful calibrations: a failing one tags each trial
-    records = []
-    for point in config.grid_points():
-        for rep in range(config.replications):
-            seed = _trial_seed(config.seed, point["index"], rep)
-            records.append(run_single_trial(config, point, seed, betas))
-    return records
+    from . import _workers  # loaded once something runs; see its docstring
+
+    points = config.grid_points()
+    jobs = _calibration_jobs(config, points)
+    betas = {}  # n -> beta, or the tagged error its calibration raised
+    with _workers.Pool(_worker_count(config, points, jobs)) as pool:
+        trials = []
+        for result in pool.map([(_estimates, (config, pt), config.replications)
+                                for pt in points]):
+            if isinstance(result, Exception):
+                raise result
+            trials += result
+        estimated = dict.fromkeys(rec.n for rec, est in trials if est is not None)
+        calibrated = [n for n in estimated if n in jobs]
+        calls = [(calibration._null_statistics, (jobs[n],), jobs[n]["trials"]) for n in calibrated]
+        for n, stats in zip(calibrated, pool.map(calls)):
+            if isinstance(stats, _TAGGED):
+                betas[n] = stats
+            elif isinstance(stats, Exception):
+                raise stats
+            else:
+                betas[n] = calibration._beta(jobs[n], stats)
+    for record, est in trials:
+        if config.task == "detect" and est is not None:
+            beta = betas.get(record.n, config.beta)
+            if isinstance(beta, Exception):
+                record.error = _tag(beta)
+            else:
+                _decide(config, record, est, beta)
+    return [record for record, _ in trials]
 
 
 def fit_rate(points) -> RateFit:

@@ -120,8 +120,10 @@ class RegressionSample:
     Y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=float)
+        # Row-major, as the estimates' last bits depend on the memory layout;
+        # a row-major array is not copied.
+        self.X = np.ascontiguousarray(self.X, dtype=float)
+        self.Y = np.ascontiguousarray(self.Y, dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         if self.X.shape[0] != self.Y.shape[0]:
@@ -241,4 +243,11 @@ def read_sample(path: str | Path) -> RegressionSample:
         raise ValueError(
             f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
         )
-    return RegressionSample(X=data[:, 1:], Y=data[:, 0])
+    # X is every row but its first value.  Moving the rows left over those
+    # values, in order, lays X out row-major in place: a copy would double
+    # the memory a large sample holds while it is read.
+    N, p = data.shape[0], data.shape[1] - 1
+    Y, flat = data[:, 0].copy(), data.reshape(-1)
+    for i in range(N):
+        flat[i * p : (i + 1) * p] = data[i, 1:]
+    return RegressionSample(X=flat[: N * p].reshape(N, p), Y=Y)

@@ -4,8 +4,9 @@ Both regimes run the same split-sample pipeline and differ only in the
 preliminary stage: least squares for n > p (:mod:`signalnorm.lowdim`), the
 square-root sorted-L1 fit for p >~ n (:mod:`signalnorm.highdim`).  The test
 compares the norm estimate with :func:`detection_threshold`, where N counts
-the rows the estimate consumed.  Only :func:`decide` calibrates beta on
-simulated nulls (:mod:`signalnorm.calibration`) when none is given.
+the rows the estimate consumed.  Given no beta, :func:`decide` calibrates
+one on simulated nulls (:mod:`signalnorm.calibration`); a harness run
+calibrates once per n through the same steps and decides at that beta.
 """
 
 from __future__ import annotations

@@ -14,15 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from signalnorm import _workers
+from signalnorm.calibration import calibrate_beta
 from signalnorm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _build_parser, main
-from signalnorm.harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    _trial_seed,
-    read_records,
-    run_single_trial,
-    run_trials,
-)
+from signalnorm.harness import CSV_COLUMNS, ExperimentConfig, read_records, run_trials
 from signalnorm.model import (
     Dimensions,
     ModelSpec,
@@ -34,6 +29,7 @@ from signalnorm.model import (
 from signalnorm.pipeline import detect, detection_threshold, estimate
 from signalnorm.quadratic import sparse_branch
 from signalnorm.slope import sqrt_slope_fit
+from test_pipeline import _children
 
 # Seeded `simulate` files, `rates` and `lower-bound` stdout and detection
 # thresholds, recorded before the rate and the report helpers were folded; the
@@ -118,14 +114,20 @@ def _stdout_of(*argv):
     return buf.getvalue()
 
 
+def _simulate(tmp_path, name):
+    """Run `simulate` on `REPORT_CONFIGS[name]`; the directory it wrote to."""
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(REPORT_CONFIGS[name]))
+    run_dir = tmp_path / name
+    _stdout_of("simulate", "--config", str(cfg_path), "--out-dir", str(run_dir))
+    return run_dir
+
+
 def _report_outputs(tmp_path):
     """The bytes of every output the golden `reports.json` holds."""
     out = {"simulate": {}, "rates": {}, "lower_bound": {}}
-    for name, config in REPORT_CONFIGS.items():
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps(config))
-        run_dir = tmp_path / name
-        _stdout_of("simulate", "--config", str(cfg_path), "--out-dir", str(run_dir))
+    for name in REPORT_CONFIGS:
+        run_dir = _simulate(tmp_path, name)
         out["simulate"][name] = {f: (run_dir / f).read_text()
                                  for f in ("records.csv", "summary.json")}
     records = str(tmp_path / "high-dense" / "records.csv")
@@ -138,11 +140,14 @@ def _report_outputs(tmp_path):
     # The decisions show a beta only where one flips; its bits, by n, show it all.
     out["calibrated_beta"] = {}
     for name, config in REPORT_CONFIGS.items():
-        cfg, betas = ExperimentConfig.from_dict(config), {}
+        cfg = ExperimentConfig.from_dict(config)
         if cfg.task == "detect" and cfg.beta is None:
-            for point in cfg.grid_points():
-                run_single_trial(cfg, point, _trial_seed(cfg.seed, point["index"], 0), betas)
-            out["calibrated_beta"][name] = {str(n): beta.hex() for n, beta in betas.items()}
+            out["calibrated_beta"][name] = {
+                str(pt["n"]): calibrate_beta(
+                    p=pt["p"], N=pt["n_used"], s=pt["s"], regime=pt["regime"], delta=cfg.delta,
+                    alpha=cfg.alpha, c1=cfg.c1, trials=cfg.calib_trials, seed=cfg.seed,
+                    design=cfg.design, noise=cfg.noise).hex()
+                for pt in cfg.grid_points()}
     return out
 
 
@@ -355,6 +360,27 @@ def test_report_goldens(tmp_path):
     got = _report_outputs(tmp_path)
     assert "rate_fits" in got["simulate"]["high-dense"]["summary.json"]
     assert got == REPORT_GOLDENS
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_simulate_writes_the_in_process_bytes(workers, tmp_path, monkeypatch):
+    """Forced over 2 or 3 worker interpreters, every golden `simulate` config
+    writes the `records.csv` and `summary.json` bytes of its run in this
+    process, leaves the environment as it was and no child process behind."""
+    environ, before = dict(os.environ), _children()
+
+    def outputs(label):
+        (tmp_path / label).mkdir()
+        return {name: {f: (_simulate(tmp_path / label, name) / f).read_bytes()
+                       for f in ("records.csv", "summary.json")} for name in REPORT_CONFIGS}
+
+    alone = outputs("alone")
+    with monkeypatch.context() as patch:
+        patch.setattr(_workers, "worker_count", lambda draws, items: workers)
+        split = outputs("split")
+    assert split == alone
+    assert _children() == before
+    assert dict(os.environ) == environ
 
 
 def test_lower_bound_matches_library(capsys):

@@ -1,11 +1,14 @@
 """Tests for the Monte Carlo experiment engine and its reporting."""
 
+import importlib
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from signalnorm import ExperimentConfig, calibration, harness, pipeline, report, run_trials
+from signalnorm import ExperimentConfig, _workers, calibration, harness, pipeline, report, run_trials
 from signalnorm.harness import (
     TrialRecord, _trial_seed, eval_rule, fit_rate, metric_points, read_records, run_single_trial,
     summarize,
@@ -129,7 +132,7 @@ class TestRunTrials:
         for point in reversed(config.grid_points()):
             for rep in reversed(range(config.replications)):
                 seed = _trial_seed(config.seed, point["index"], rep)
-                backward.append(run_single_trial(config, point, seed, {}))
+                backward.append(run_single_trial(config, point, seed))
         key = lambda r: (r.config_id, r.seed)
         assert sorted(forward, key=key) == sorted(backward, key=key)
 
@@ -178,20 +181,20 @@ class TestRunTrials:
         noise levels, magnitudes and replications at it, and decides as if
         every trial had calibrated its own."""
         calls = []
-        real = calibration.calibrate_beta
+        real = calibration._null_statistics
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
+        def counting(job, lo, hi):
+            calls.append(job)
+            return real(job, lo, hi)
 
-        monkeypatch.setattr(calibration, "calibrate_beta", counting)
+        monkeypatch.setattr(calibration, "_null_statistics", counting)
         config = tiny_config(task="detect", n=[16, 24], sigma=[0.5, 1.0], magnitude=[0.0, 1.0],
                              calib_trials=20)
         records = run_trials(config)
         assert len(records) == 2 * 2 * 2 * 2
         assert all(r.error is None and r.decision in (0, 1) for r in records)
         assert [(c["p"], c["N"]) for c in calls] == [(4, 32), (6, 48)]
-        alone = [run_single_trial(config, point, _trial_seed(config.seed, point["index"], rep), {})
+        alone = [run_single_trial(config, point, _trial_seed(config.seed, point["index"], rep))
                  for point in config.grid_points() for rep in range(config.replications)]
         assert alone == records
 
@@ -219,33 +222,41 @@ class TestRunTrials:
             assert est_n_used == sample_N == rec.n_used == parts * rec.n
 
     def test_failing_calibration_tags_every_detect_trial(self, monkeypatch):
-        """A calibration that raises is not kept: every trial whose estimate
-        succeeded calls it again and carries its message."""
+        """A calibration that raises tags every trial at its n whose estimate
+        succeeded with its message.  It runs once per n, as any calibration
+        of a run does, not again for each trial: 2 calls for 4 trials."""
         calls = []
 
-        def failing(**kwargs):
-            calls.append(kwargs)
+        def failing(job, lo, hi):
+            calls.append(job)
             raise ValueError("no null statistic")
 
-        monkeypatch.setattr(calibration, "calibrate_beta", failing)
+        monkeypatch.setattr(calibration, "_null_statistics", failing)
         records = run_trials(tiny_config(task="detect", n=[16, 24]))
-        assert len(records) == len(calls) == 4
+        assert len(records) == 4 and len(calls) == 2
         assert all(r.error == "ValueError: no null statistic" and r.q_hat is not None
                    and r.decision is None for r in records)
 
-    def test_detect_calibrates_under_config_laws(self):
+    def test_detect_calibrates_under_config_laws(self, monkeypatch):
         """A detect run's beta is the one `calibrate_beta` gives under the
         config's design and noise laws, not the Gaussian one."""
         laws = dict(design="uniform-scaled", noise="scaled-rademacher-mixture")
         config = tiny_config(task="detect", n=[24], s_rule="p", calib_trials=50, **laws)
         point = config.grid_points()[0]
-        betas = {}
-        run_single_trial(config, point, _trial_seed(config.seed, 0, 0), betas)
+        betas, real = [], calibration._beta
+
+        def recording(job, stats):
+            betas.append(real(job, stats))
+            return betas[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "_beta", recording)
+            run_trials(config)
         args = dict(p=point["p"], N=point["n_used"], s=point["s"], delta=config.delta,
                     regime=point["regime"], alpha=config.alpha, c1=config.c1,
                     trials=config.calib_trials, seed=config.seed)
-        assert betas == {24: calibration.calibrate_beta(**args, **laws)}
-        assert betas[24] != calibration.calibrate_beta(**args)
+        assert betas == [calibration.calibrate_beta(**args, **laws)]
+        assert betas[0] != calibration.calibrate_beta(**args)
 
     @pytest.mark.parametrize("design", sorted(DESIGN_LAWS))
     @pytest.mark.parametrize("noise", sorted(NOISE_LAWS))
@@ -261,6 +272,106 @@ class TestRunTrials:
         assert all(r.error is None for r in records)
         rate = np.mean([r.decision for r in records])
         assert abs(rate - config.delta) <= 3 * np.sqrt(2 * 0.1 * 0.9 / 500)
+
+
+# Stand-ins for the range functions of a run, in a module that worker
+# interpreters import by name as they import the real ones.
+STAND_INS = """
+import os
+
+from signalnorm.calibration import _null_statistics
+
+
+def nulls_failing_at_48_rows(job, lo, hi):
+    if job["N"] == 48:
+        raise ValueError("no null statistic")
+    return _null_statistics(job, lo, hi)
+
+
+def estimates_raising(config, point, lo, hi):
+    raise KeyError(f"n={point['n']} from replication {lo}")
+
+
+def estimates_exiting(config, point, lo, hi):
+    os._exit(3)
+"""
+
+
+@pytest.fixture
+def stand_ins(tmp_path, monkeypatch):
+    """The stand-in module, importable here and in the worker interpreters."""
+    (tmp_path / "stand_ins.py").write_text(STAND_INS)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+    monkeypatch.delitem(sys.modules, "stand_ins", raising=False)
+    return importlib.import_module("stand_ins")
+
+
+def run_over(workers, config, monkeypatch):
+    """`run_trials(config)` with its estimates and calibrations split over
+    `workers` worker interpreters (1: in this process), whatever its size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_workers, "worker_count", lambda draws, items: workers)
+        return run_trials(config)
+
+
+# Low-regime detection at p = 10: the least squares pipeline needs n > p, so
+# every estimate at n = 8 fails, and at n = 16 and 24 none does.
+MIXED = dict(task="detect", n=[8, 16, 24], p_rule="10", s_rule="2", magnitude=[0.0, 1.0],
+             replications=3, calib_trials=7)
+
+
+class TestSplitRun:
+    """Runs forced onto worker interpreters where trials or calibrations fail.
+    No test leaves a worker behind, as the autouse fixture checks."""
+
+    def test_tagged_estimates_and_calibrations_as_in_process(self, stand_ins, monkeypatch):
+        """Estimates tagged with errors come back tagged as in this process, and
+        a failing calibration tags exactly the trials at its n whose estimate
+        succeeded, with the message this process gives; the other n decides."""
+        monkeypatch.setattr(calibration, "_null_statistics", stand_ins.nulls_failing_at_48_rows)
+        config = tiny_config(**MIXED)
+        alone = run_over(1, config, monkeypatch)
+        for workers in (2, 3):
+            assert run_over(workers, config, monkeypatch) == alone
+        by_n = {n: [r for r in alone if r.n == n] for n in (8, 16, 24)}
+        assert all(r.error.startswith("ValueError: need n > p") and r.q_hat is None
+                   for r in by_n[8])
+        assert all(r.error is None and r.decision in (0, 1) for r in by_n[16])
+        assert all(r.error == "ValueError: no null statistic" and r.q_hat is not None
+                   and r.decision is None for r in by_n[24])
+
+    def test_no_calibration_where_every_estimate_failed(self, monkeypatch):
+        """The second phase calibrates the n whose estimates succeeded, once
+        each, and nothing for n = 8."""
+        batches, real = [], _workers.Pool.map
+
+        def recording(pool, calls):
+            batches.append(calls)
+            return real(pool, calls)
+
+        monkeypatch.setattr(_workers.Pool, "map", recording)
+        records = run_over(2, tiny_config(**MIXED), monkeypatch)
+        estimates, nulls = batches
+        assert [(f.__name__, args[1]["n"], n) for f, args, n in estimates] == [
+            ("_estimates", n, 3) for n in (8, 8, 16, 16, 24, 24)]
+        assert [(f.__name__, args[0]["N"], n) for f, args, n in nulls] == [
+            ("_null_statistics", 32, 7), ("_null_statistics", 48, 7)]
+        assert [r.decision is None for r in records] == [True] * 6 + [False] * 12
+
+    def test_untagged_error_raised_from_earliest_trial(self, stand_ins, monkeypatch):
+        """An exception that tags no trial ends the run, raised from the first
+        trial that raised, in this process or over workers."""
+        monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_raising)
+        for workers in (1, 2):
+            with pytest.raises(KeyError, match="n=8 from replication 0"):
+                run_over(workers, tiny_config(**MIXED), monkeypatch)
+
+    def test_worker_that_dies_raises_its_exit_code(self, stand_ins, monkeypatch):
+        monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_exiting)
+        with pytest.raises(RuntimeError, match="a worker exited with code 3 and no result"):
+            run_over(2, tiny_config(**MIXED), monkeypatch)
 
 
 class TestFitRate:

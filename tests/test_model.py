@@ -209,6 +209,7 @@ class TestCsvRoundTrip:
         back = read_sample(path)
         np.testing.assert_array_equal(back.X, sample.X)
         np.testing.assert_array_equal(back.Y, sample.Y)
+        assert back.X.flags.c_contiguous  # row-major, as a synthesized sample
 
     def test_no_sidecar_without_truth(self, tmp_path):
         """A sample holds no truth, a synthesized one included, so write_sample

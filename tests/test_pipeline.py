@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from signalnorm import calibration
+from signalnorm import ExperimentConfig, _workers, calibration, harness
 from signalnorm import (
     Dimensions,
     ModelSpec,
@@ -174,14 +174,15 @@ def _calibrate_over(workers, monkeypatch, **args):
     """`calibrate_beta(**args)` with its trials split over `workers` worker
     interpreters (1: the serial loop), whatever its size and the host's cores,
     and the null statistics it took the quantile of."""
-    split, seen = calibration._statistics, []
+    quantile, seen = calibration._beta, []
 
-    def statistics(job, trials, _):
-        seen.append(split(job, trials, workers))
-        return seen[-1]
+    def recording(job, stats):
+        seen.append(np.array(stats))
+        return quantile(job, stats)
 
     with monkeypatch.context() as patch:
-        patch.setattr(calibration, "_statistics", statistics)
+        patch.setattr(_workers, "worker_count", lambda draws, items: workers)
+        patch.setattr(calibration, "_beta", recording)
         beta = calibrate_beta(**args)
     return seen[0], beta
 
@@ -260,16 +261,41 @@ def test_split_calibration_raises_as_the_serial_loop(monkeypatch):
     assert _children() == before
 
 
+# The tall benchmark's `simulate` op: 400 trials and 2 calibrations of 500
+# trials at n = 100 and 200, 35.4M draws in all.
+TALL_SIMULATE = dict(seed=0, task="detect", regime="low", n=[100, 200], p_rule="n/2",
+                     s_rule="3", alpha=1.0, magnitude=[0.0, 1.0], replications=100,
+                     calib_trials=500)
+
+
 def test_only_large_calibrations_split(monkeypatch):
     """At most one worker per usable core and per 2**23 draws: the warm-up and
     n=100 calibrations of the tall benchmark and the CLI session's detect stay
-    serial, and the tall n=200 one and the acceptance battery's split."""
-    monkeypatch.setattr(calibration, "_usable_cores", lambda: 8)
-    count = calibration._worker_count
+    serial, and the tall n=200 one and the acceptance battery's split.  A run
+    counts the draws of all its estimates and calibrations: the tall benchmark's
+    warm-up and every golden `simulate` config stay in this process, and its op
+    splits over every usable core."""
+    from test_cli import REPORT_CONFIGS
+
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 8)
+
+    def count(trials, N, p):
+        return _workers.worker_count(calibration._draws(dict(trials=trials, N=N, p=p)), trials)
+
+    def run_count(config):
+        config = ExperimentConfig.from_dict(config)
+        points = config.grid_points()
+        return harness._worker_count(config, points, harness._calibration_jobs(config, points))
+
     assert count(20, 400, 100) == count(500, 200, 50) == count(200, 400, 100) == 0
     assert count(500, 400, 100) == 2
     assert count(2000, 400, 100) == 8
     assert count(3, 10**6, 10**4) == 3
+    assert run_count(dict(TALL_SIMULATE, replications=2, calib_trials=20)) == 0
+    assert [run_count(config) for config in REPORT_CONFIGS.values()] == [0] * 6
+    assert run_count(TALL_SIMULATE) == 4
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
+    assert run_count(TALL_SIMULATE) == 2
 
 
 def test_unguarded_caller_runs_once(tmp_path):
@@ -278,7 +304,8 @@ def test_unguarded_caller_runs_once(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(
         "import signalnorm.calibration as calibration\n"
-        "calibration._worker_count = lambda trials, N, p: 2\n"
+        "import signalnorm._workers as workers\n"
+        "workers.worker_count = lambda draws, items: 2\n"
         "print('body')\n"
         f"print(repr(calibration.calibrate_beta(**{SPLIT_CASES['low']!r})))\n"
     )
@@ -288,6 +315,29 @@ def test_unguarded_caller_runs_once(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["body", repr(calibrate_beta(**SPLIT_CASES["low"]))]
+
+
+@pytest.mark.parametrize("regime, shape", [("low", (400, 100, 3)), ("high", (90, 40, 2)),
+                                           ("high", (600, 1200, 6))])
+def test_estimate_bits_do_not_depend_on_the_layout(regime, shape):
+    """The same X column-major, or as a strided view of a wider array, gives
+    the bits of the row-major X: a sample stores its arrays row-major.  Before
+    it did, column-major X moved most component estimates by up to 4.6e-14,
+    and a view moved high-regime q_hat in the last bit."""
+    N, p, s = shape
+    theta = sample_sparse_theta(p, s, 1.0, rng=np.random.default_rng(5))
+    sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=N, p=p, s=s), 5)
+    wide = np.zeros((N, 2 * p + 1))
+    wide[:, 1::2] = sample.X
+    wide[:, 0] = sample.Y
+    layouts = {"F": (np.asfortranarray(sample.X), sample.Y),
+               "every other column": (wide[:, 1::2], wide[:, 0]),
+               "all but the first column": (np.hstack([sample.Y[:, None], sample.X])[:, 1:],
+                                            sample.Y)}
+    base = estimate(sample, s, regime, alpha=1.0)
+    for name, (X, Y) in layouts.items():
+        other = estimate(RegressionSample(X=X, Y=Y), s, regime, alpha=1.0)
+        assert (other.q_hat, other.sigma_hat) == (base.q_hat, base.sigma_hat), name
 
 
 def test_unknown_regime():
