@@ -1,20 +1,17 @@
-"""Worker interpreters that run range calls, and the pool that holds them.
+"""One batch of range calls, split over worker interpreters when it is large.
 
-A range call ``(function, args, lo, hi)`` computes items lo..hi-1 of a list of
-n items: the estimates of one grid point's replications
-(:func:`signalnorm.harness.run_trials`) or the statistics of one null
-calibration (:func:`signalnorm.calibration.calibrate_beta`).  Item i depends
-only on i and `args`, so a :class:`Pool` may split each call's items into one
-contiguous range per worker and join the ranges in order.  With fewer than 2
-workers it runs each call whole, in this process.
+A call ``(function, args, n, draws_per_item)`` asks for items 0..n-1 of a list,
+which ``function(*args, lo, hi)`` computes lo..hi-1 of: the estimates of one
+grid point's replications (:func:`signalnorm.harness.run_trials`) or the
+statistics of one null calibration (:func:`signalnorm.calibration.calibrate_beta`).
+Item i depends only on i and `args`, so :func:`run` may split each call's
+items into one contiguous range per worker and join the ranges in order.
 
-The workers are fresh interpreters, ``python -m signalnorm._workers``, started
-once per pool with single-threaded BLAS and killed when it closes.  Each reads
-the caller's warning filters, then pickled lists of calls, each named by its
-module and function, until EOF, and answers every list with one pickled result
-per call: the items, or the exception the call raised.  The package does not
-import this module, as ``-m`` on an imported module warns: the harness and the
-calibration import it when they first run.
+The workers are fresh interpreters with single-threaded BLAS, started by each
+split :func:`run` and killed when it returns.  Each reads one pickled request,
+the caller's warning filters and its range of every call, named by module and
+function; it answers with one pickled result per call, the items or the
+exception the range raised, and exits.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from pathlib import Path
 # high one, whose draws cost a third as much; 2**23 = 8.4M lies between.
 _DRAWS_PER_WORKER = 1 << 23
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_WORKER = "from signalnorm._workers import main; main()"
 
 
 def _usable_cores() -> int:
@@ -63,7 +61,7 @@ def _run(function, args: tuple, lo: int, hi: int):
         return exc
 
 
-def _joined(parts: list):
+def _joined(parts: tuple):
     """One call's result from its ranges' results, in range order: the first
     exception, else every item."""
     for part in parts:
@@ -72,19 +70,42 @@ def _joined(parts: list):
     return [item for part in parts for item in part]
 
 
-class Pool:
-    """`workers` worker interpreters, started at the first :meth:`map` when
-    there are at least 2, and killed and reaped when the ``with`` block ends."""
+def run(calls: list) -> list:
+    """For each call ``(function, args, n, draws_per_item)``, the items 0..n-1
+    of ``function(*args, lo, hi)`` as one list, or the exception raised by the
+    lowest range that raised.  The batch splits over :func:`worker_count` of
+    its draws, n * draws_per_item summed over the calls, and its largest n;
+    below 2 workers every call runs whole in this process.  A worker that dies
+    without answering raises `RuntimeError` with its exit code."""
+    k = worker_count(sum(n * draws for _, _, n, draws in calls), max(n for _, _, n, _ in calls))
+    if k < 2:
+        return [_run(function, args, 0, n) for function, args, n, _ in calls]
+    import subprocess  # only a split run starts processes
 
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._procs = []
-
-    def __enter__(self) -> Pool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for proc in self._procs:
+    env = dict(os.environ, **dict.fromkeys(_BLAS_THREADS, "1"))
+    root = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    procs = []
+    try:
+        for _ in range(k):
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+        for j, proc in enumerate(procs):
+            ranges = [(function.__module__, function.__name__, args, n * j // k, n * (j + 1) // k)
+                      for function, args, n, _ in calls]
+            try:
+                proc.stdin.write(pickle.dumps((warnings.filters, ranges)))
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the worker is gone; reading its answer reports its exit code
+        answers = []
+        for proc in procs:
+            try:
+                answers.append(pickle.load(proc.stdout))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"a worker exited with code {proc.wait()} and no result") from None
+    finally:
+        for proc in procs:
             proc.kill()
             proc.wait()
             for pipe in (proc.stdin, proc.stdout):
@@ -92,70 +113,14 @@ class Pool:
                     pipe.close()
                 except OSError:  # unflushed bytes to a worker that is gone
                     pass
-
-    def map(self, calls: list) -> list:
-        """For each call ``(function, args, n)``, the items 0..n-1 of
-        ``function(*args, lo, hi)`` as one list, or the exception raised by the
-        lowest range that raised.  A worker that dies without answering raises
-        `RuntimeError` with its exit code."""
-        if self.workers < 2:
-            return [_joined([_run(function, args, 0, n)]) for function, args, n in calls]
-        if not self._procs:
-            self._start()
-        k = len(self._procs)
-        requests = [[] for _ in range(k)]
-        for function, args, n in calls:
-            for j in range(k):
-                requests[j].append((function.__module__, function.__name__, args,
-                                    n * j // k, n * (j + 1) // k))
-        for proc, request in zip(self._procs, requests):
-            _send(proc, pickle.dumps(request))
-        answers = []
-        for proc in self._procs:
-            try:
-                answers.append(pickle.load(proc.stdout))
-            except (EOFError, pickle.UnpicklingError):
-                code = proc.wait()
-                raise RuntimeError(f"a worker exited with code {code} and no result") from None
-        return [_joined(list(parts)) for parts in zip(*answers)]
-
-    def _start(self) -> None:
-        import subprocess  # only a split run starts processes
-
-        env = dict(os.environ, **dict.fromkeys(_BLAS_THREADS, "1"))
-        root = str(Path(__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-        filters = pickle.dumps(warnings.filters)
-        for _ in range(self.workers):
-            proc = subprocess.Popen([sys.executable, "-m", "signalnorm._workers"],
-                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-            self._procs.append(proc)
-            _send(proc, filters)
-
-
-def _send(proc, payload: bytes) -> None:
-    try:
-        proc.stdin.write(payload)
-        proc.stdin.flush()
-    except BrokenPipeError:
-        pass  # the worker is gone; reading its answer reports its exit code
+    return [_joined(parts) for parts in zip(*answers)]
 
 
 def main() -> None:
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
-    filters = pickle.load(stdin)
+    """Answer one request read from stdin on stdout."""
+    filters, ranges = pickle.load(sys.stdin.buffer)
     warnings.resetwarnings()  # voids what start-up registered under the old filters
     warnings.filters[:] = filters
-    while True:
-        try:
-            calls = pickle.load(stdin)
-        except EOFError:
-            return
-        results = [_run(getattr(importlib.import_module(module), name), args, lo, hi)
-                   for module, name, args, lo, hi in calls]
-        stdout.write(pickle.dumps(results))
-        stdout.flush()
-
-
-if __name__ == "__main__":
-    main()
+    results = [_run(getattr(importlib.import_module(module), name), args, lo, hi)
+               for module, name, args, lo, hi in ranges]
+    sys.stdout.buffer.write(pickle.dumps(results))

@@ -10,8 +10,7 @@ null with unit noise and taking the upper-delta quantile of
 :func:`calibrate_beta` is a pure function of its arguments.  The library calls
 it only from :func:`signalnorm.pipeline.decide`, when no beta is given; a detect
 run of :func:`signalnorm.harness.run_trials` calibrates once per n, through the
-same job, statistics and quantile (:func:`_job`, :func:`_null_statistics`,
-:func:`_beta`).
+same job, call and quantile (:func:`_job`, :func:`_call`, :func:`_beta`).
 
 Trial i draws its null from its own seed,
 ``SeedSequence(seed, spawn_key=(0xCA11B, i))``, so where it runs cannot change
@@ -20,19 +19,16 @@ trials into contiguous ranges, at most one per core, over the single-threaded
 worker interpreters of :mod:`signalnorm._workers`.  The statistics, joined in
 trial order, and beta are those of a serial run: bit for bit where BLAS gives
 the same bits with one thread as with the caller's count, and otherwise within
-rounding.  With OpenBLAS on 2 cores, the low regime at p=100, N=400 and the
-high regime at p=400, N=600 and at p=3000, N=1500 were bit-identical, while
-the low regime at p=400, N=2000 differed by up to 2.9e-15 relative, as least
-squares on its 1000 x 400 blocks rounds with the thread count.  There is no
-option for it, and the caller's environment and BLAS threads are left as they
-are.
+rounding (the README's "Simulation config schema" names the sizes measured).
+There is no option for it, and the caller's environment and BLAS threads are
+left as they are.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import pipeline
+from . import _workers, pipeline
 from .model import Dimensions, ModelSpec, synthesize
 from .quadratic import FunctionalEstimate
 
@@ -71,10 +67,7 @@ def calibrate_beta(
     """
     job = _job(p=p, N=N, s=s, regime=regime, delta=delta, alpha=alpha, c1=c1, trials=trials,
                seed=seed, design=design, noise=noise)
-    from . import _workers  # loaded once something calibrates; see its docstring
-
-    with _workers.Pool(_workers.worker_count(_draws(job), trials)) as pool:
-        (stats,) = pool.map([(_null_statistics, (job,), trials)])
+    (stats,) = _workers.run([_call(job)])
     if isinstance(stats, Exception):
         raise stats
     return _beta(job, stats)
@@ -90,9 +83,10 @@ def _job(*, p, N, s, regime, delta, alpha, c1, trials, seed, design, noise) -> d
                 seed=seed, design=design, noise=noise)
 
 
-def _draws(job: dict) -> int:
-    """Entries of X and xi that the job's null samples draw."""
-    return job["trials"] * job["N"] * (job["p"] + 1)
+def _call(job: dict) -> tuple:
+    """The :func:`signalnorm._workers.run` call of the job's null statistics:
+    one item per trial, each drawing the N * (p + 1) entries of X and xi."""
+    return (_null_statistics, (job,), job["trials"], job["N"] * (job["p"] + 1))
 
 
 def _beta(job: dict, stats: list) -> float:

@@ -5,7 +5,7 @@ dimension and sparsity given as small expressions of n, so they can grow
 together), noise levels, and signal magnitudes.  Every trial derives its own
 seed from the configuration seed and its grid/replication index, so results
 do not depend on execution order, and a large run splits its estimates and
-null calibrations over one pool of worker interpreters
+null calibrations, as one batch, over worker interpreters
 (:mod:`signalnorm._workers`).  Trials that raise are recorded with an error
 tag and excluded from aggregates, never silently dropped.
 """
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, lower_bounds, pipeline
+from . import _workers, calibration, lower_bounds, pipeline
 from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
 from .quadratic import FunctionalEstimate, split_parts
 
@@ -376,57 +376,42 @@ def _calibration_jobs(config: ExperimentConfig, points: list[dict]) -> dict:
     return jobs
 
 
-def _worker_count(config: ExperimentConfig, points: list[dict], jobs: dict) -> int:
-    """Workers for the run, by the draws of every estimate and every calibration."""
-    from . import _workers
-
-    draws = config.replications * sum(pt["n_used"] * (pt["p"] + 1) for pt in points)
-    draws += sum(calibration._draws(job) for job in jobs.values())
-    items = max([config.replications] + [job["trials"] for job in jobs.values()])
-    return _workers.worker_count(draws, items)
-
-
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """All replications over the whole grid, deterministically seeded, in grid order.
 
     Trial seeds depend only on (config seed, grid index, replication index),
-    so any execution order yields the same multiset of records.  The run has
-    three phases: every trial's estimate; for a detect task without a beta,
-    one null calibration for each n where an estimate succeeded (p, s, the
-    regime and the rows used are functions of n); then every decision, in
-    trial order.  The first two run on one :class:`signalnorm._workers.Pool`,
-    with at most one worker per usable core and per 2**23 draws, each range
-    of replications or null trials on one worker; a smaller run stays in this
-    process.  A trial, or a calibration, gives what it gives serially: bit
-    for bit where BLAS rounds the same with one thread as with the caller's
-    count, else within rounding.
+    so any execution order yields the same multiset of records.  The run makes
+    one :func:`signalnorm._workers.run` batch of every grid point's estimates
+    and, for a detect task without a beta, one null calibration for each n
+    (p, s, the regime and the rows used are functions of n); then it makes
+    every decision, in trial order.  A large batch splits each point's
+    replications and each calibration's null trials over worker interpreters;
+    a trial, or a calibration, gives what it gives serially, bit for bit or
+    within rounding as the README's "Simulation config schema" sets out.
 
     A calibration that raises a tagged error tags every trial at its n whose
-    estimate succeeded.  An exception that is not tagged is raised from the
-    earliest trial, estimates before calibrations.
+    estimate succeeded; at an n where every estimate failed, its result goes
+    unused.  An exception that is not tagged is raised from the earliest
+    trial, estimates before calibrations.
     """
-    from . import _workers  # loaded once something runs; see its docstring
-
     points = config.grid_points()
     jobs = _calibration_jobs(config, points)
+    results = _workers.run(
+        [(_estimates, (config, pt), config.replications, pt["n_used"] * (pt["p"] + 1))
+         for pt in points] + [calibration._call(job) for job in jobs.values()])
+    trials = []
+    for result in results[:len(points)]:
+        if isinstance(result, Exception):
+            raise result
+        trials += result
     betas = {}  # n -> beta, or the tagged error its calibration raised
-    with _workers.Pool(_worker_count(config, points, jobs)) as pool:
-        trials = []
-        for result in pool.map([(_estimates, (config, pt), config.replications)
-                                for pt in points]):
-            if isinstance(result, Exception):
-                raise result
-            trials += result
-        estimated = dict.fromkeys(rec.n for rec, est in trials if est is not None)
-        calibrated = [n for n in estimated if n in jobs]
-        calls = [(calibration._null_statistics, (jobs[n],), jobs[n]["trials"]) for n in calibrated]
-        for n, stats in zip(calibrated, pool.map(calls)):
-            if isinstance(stats, _TAGGED):
-                betas[n] = stats
-            elif isinstance(stats, Exception):
-                raise stats
-            else:
-                betas[n] = calibration._beta(jobs[n], stats)
+    for (n, job), stats in zip(jobs.items(), results[len(points):]):
+        if isinstance(stats, _TAGGED):
+            betas[n] = stats
+        elif isinstance(stats, Exception):
+            raise stats
+        else:
+            betas[n] = calibration._beta(job, stats)
     for record, est in trials:
         if config.task == "detect" and est is not None:
             beta = betas.get(record.n, config.beta)

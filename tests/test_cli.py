@@ -633,7 +633,7 @@ def test_import_does_not_load_scipy(tmp_path):
     alone measured about 0.2 s and 24 MB there, scipy.linalg 55 ms and
     scipy.special most of the rest.  The package needs no scipy at all: with
     scipy blocked, the import loads no scipy module and `lower-bound` still runs.
-    Nor does it load `subprocess`, which only a split calibration imports."""
+    Nor does it load `subprocess`, which only a split run imports."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))

@@ -280,12 +280,23 @@ STAND_INS = """
 import os
 
 from signalnorm.calibration import _null_statistics
+from signalnorm.harness import _estimates
 
 
 def nulls_failing_at_48_rows(job, lo, hi):
     if job["N"] == 48:
         raise ValueError("no null statistic")
     return _null_statistics(job, lo, hi)
+
+
+def nulls_raising(job, lo, hi):
+    raise KeyError(f"N={job['N']} from null trial {lo}")
+
+
+def estimates_logged(config, point, lo, hi):
+    with open(os.environ["STAND_INS_LOG"], "a") as log:
+        log.writelines(f"{point['index']} {rep}\\n" for rep in range(lo, hi))
+    return _estimates(config, point, lo, hi)
 
 
 def estimates_raising(config, point, lo, hi):
@@ -342,22 +353,23 @@ class TestSplitRun:
         assert all(r.error == "ValueError: no null statistic" and r.q_hat is not None
                    and r.decision is None for r in by_n[24])
 
-    def test_no_calibration_where_every_estimate_failed(self, monkeypatch):
-        """The second phase calibrates the n whose estimates succeeded, once
-        each, and nothing for n = 8."""
-        batches, real = [], _workers.Pool.map
+    def test_one_batch_of_estimates_then_every_null(self, monkeypatch):
+        """The run makes one batch: each grid point's estimates, then the null
+        calibration of every n, n = 8 included, whose estimates all fail and
+        whose trials end with no decision."""
+        batches, real = [], _workers.run
 
-        def recording(pool, calls):
+        def recording(calls):
             batches.append(calls)
-            return real(pool, calls)
+            return real(calls)
 
-        monkeypatch.setattr(_workers.Pool, "map", recording)
+        monkeypatch.setattr(_workers, "run", recording)
         records = run_over(2, tiny_config(**MIXED), monkeypatch)
-        estimates, nulls = batches
-        assert [(f.__name__, args[1]["n"], n) for f, args, n in estimates] == [
-            ("_estimates", n, 3) for n in (8, 8, 16, 16, 24, 24)]
-        assert [(f.__name__, args[0]["N"], n) for f, args, n in nulls] == [
-            ("_null_statistics", 32, 7), ("_null_statistics", 48, 7)]
+        (calls,) = batches
+        assert [(f.__name__, args[1]["n"], n, draws) for f, args, n, draws in calls[:6]] == [
+            ("_estimates", n, 3, 2 * n * 11) for n in (8, 8, 16, 16, 24, 24)]
+        assert [(f.__name__, args[0]["N"], n, draws) for f, args, n, draws in calls[6:]] == [
+            ("_null_statistics", 2 * n, 7, 2 * n * 11) for n in (8, 16, 24)]
         assert [r.decision is None for r in records] == [True] * 6 + [False] * 12
 
     def test_untagged_error_raised_from_earliest_trial(self, stand_ins, monkeypatch):
@@ -367,6 +379,21 @@ class TestSplitRun:
         for workers in (1, 2):
             with pytest.raises(KeyError, match="n=8 from replication 0"):
                 run_over(workers, tiny_config(**MIXED), monkeypatch)
+
+    def test_untagged_calibration_error_raised_after_every_estimate(self, stand_ins,
+                                                                    tmp_path, monkeypatch):
+        """An exception that tags no trial, raised by a null calibration, ends
+        the run from the first n and null trial that raised, once every
+        replication of every grid point has been estimated."""
+        monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_logged)
+        monkeypatch.setattr(calibration, "_null_statistics", stand_ins.nulls_raising)
+        for workers in (1, 2):
+            log = tmp_path / f"estimated-over-{workers}"
+            monkeypatch.setenv("STAND_INS_LOG", str(log))
+            with pytest.raises(KeyError, match="N=16 from null trial 0"):
+                run_over(workers, tiny_config(**MIXED), monkeypatch)
+            assert sorted(log.read_text().splitlines()) == [
+                f"{index} {rep}" for index in range(6) for rep in range(3)]
 
     def test_worker_that_dies_raises_its_exit_code(self, stand_ins, monkeypatch):
         monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_exiting)

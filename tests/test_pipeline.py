@@ -278,14 +278,26 @@ def test_only_large_calibrations_split(monkeypatch):
     from test_cli import REPORT_CONFIGS
 
     monkeypatch.setattr(_workers, "_usable_cores", lambda: 8)
+    real = _workers.worker_count
+
+    class Sized(Exception):
+        """Raised with the worker count of a batch, in place of running it."""
+
+    def sized(draws, items):
+        raise Sized(real(draws, items))
+
+    def workers_for(function, *args):
+        """The workers that the one `_workers.run` batch of `function(*args)` gets."""
+        with monkeypatch.context() as patch, pytest.raises(Sized) as sizing:
+            patch.setattr(_workers, "worker_count", sized)
+            function(*args)
+        return sizing.value.args[0]
 
     def count(trials, N, p):
-        return _workers.worker_count(calibration._draws(dict(trials=trials, N=N, p=p)), trials)
+        return workers_for(_workers.run, [calibration._call(dict(trials=trials, N=N, p=p))])
 
     def run_count(config):
-        config = ExperimentConfig.from_dict(config)
-        points = config.grid_points()
-        return harness._worker_count(config, points, harness._calibration_jobs(config, points))
+        return workers_for(harness.run_trials, ExperimentConfig.from_dict(config))
 
     assert count(20, 400, 100) == count(500, 200, 50) == count(200, 400, 100) == 0
     assert count(500, 400, 100) == 2
@@ -300,7 +312,9 @@ def test_only_large_calibrations_split(monkeypatch):
 
 def test_unguarded_caller_runs_once(tmp_path):
     """A script without a ``__main__`` guard that makes a split calibration runs
-    its body once: the workers never import the caller's main module."""
+    its body once: the workers never import the caller's main module.  Nor do
+    they print a warning, such as the one ``python -m`` gives for a module
+    that its package has imported."""
     script = tmp_path / "unguarded.py"
     script.write_text(
         "import signalnorm.calibration as calibration\n"
@@ -315,6 +329,7 @@ def test_unguarded_caller_runs_once(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["body", repr(calibrate_beta(**SPLIT_CASES["low"]))]
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("regime, shape", [("low", (400, 100, 3)), ("high", (90, 40, 2)),
