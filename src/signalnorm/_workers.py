@@ -26,15 +26,16 @@ from pathlib import Path
 # Draws, rows * (p + 1) summed over every estimate a run makes, that each
 # worker must have before the run splits; a worker costs about 0.25 s to
 # start.  One calibration, serial against 2 workers on 2 cores (numpy 2.4,
-# OpenBLAS 0.3.31 with 2 threads), medians of 3-4 runs:
-#   low regime, N=200, p=50, 500 trials (5.1M draws):  0.32 s against 0.41 s;
-#   low regime, N=400, p=100, 200 trials (8.1M):       0.66 s against 0.56 s;
-#                            420 trials (17.0M):       1.20 s against 0.85 s;
+# OpenBLAS 0.3.31 with 2 threads), medians of 5 runs for the low regime, whose
+# least squares takes the Cholesky factor, and of 3-4 for the high one:
+#   low regime, N=200, p=50, 500 trials (5.1M draws):  0.41 s against 0.44 s;
+#   low regime, N=400, p=100, 200 trials (8.1M):       0.36 s against 0.48 s;
+#                            420 trials (17.0M):       0.83 s against 0.64 s;
 #   high regime, N=600, p=400, s=3, 60 trials (14.4M): 0.35 s against 0.44 s;
 #                            85 trials (20.5M):        0.51 s against 0.53 s;
 #                            125 trials (30.1M):       0.65 s against 0.58 s.
-# Break-even is near 3.5M draws per worker in the low regime and 11M in the
-# high one, whose draws cost a third as much; 2**23 = 8.4M lies between.
+# Break-even is near 5.7M draws per worker in the low regime (3.5M when each
+# fit ran a Householder QR) and 11M in the high one; 2**23 = 8.4M lies between.
 _DRAWS_PER_WORKER = 1 << 23
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _WORKER = "from signalnorm._workers import main; main()"

@@ -23,15 +23,16 @@ from signalnorm import (
 )
 from signalnorm.calibration import calibrate_beta
 from signalnorm.harness import fit_rate
-from signalnorm.lowdim import _SINGULAR_RTOL, OlsFit, estimate_lowdim, ols_fit
+from signalnorm.lowdim import _SINGULAR_RTOL, OlsFit, _cholesky_factor, estimate_lowdim, ols_fit
 
 # Seeded low-regime `estimate` and `detect` outputs as float.hex strings,
 # recorded with the SVD least squares that `ols_reference` keeps.
 GOLDENS = json.loads((Path(__file__).parent / "goldens" / "lowdim.json").read_text())
 
-# QR and SVD round differently: theta_hat (norm-wise), sigma_hat and the
-# diagonal of the inverse Gram matrix may differ from the SVD fit by this
-# relative amount, and so may every float of the seeded pipeline outputs.
+# Cholesky, QR and SVD round differently: theta_hat (norm-wise), sigma_hat and
+# the diagonal of the inverse Gram matrix may differ between the Cholesky, the
+# Householder and the SVD fit by this relative amount, and so may every float
+# of the seeded pipeline outputs.
 RTOL = 1e-10
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -59,24 +60,60 @@ def ols_reference(X1, Y1):
     return theta_hat, np.diag(gram_inverse), sigma_hat
 
 
-def ols_fit_svd_guard(X1, Y1):
-    """`ols_fit` with the rank guard as first written: QR, the SVD of R on
-    every call, then the inverse.  The certified fit must match it bit for bit."""
+def ols_fit_householder(X1, Y1):
+    """`ols_fit` before the Cholesky factor: one Householder QR of [X1 | Y1],
+    the LU inverse of R, the Frobenius certificate, and the SVD of R for a
+    design it does not clear.  An uncertified Cholesky factor must fall back to
+    it bit for bit, with the same warnings."""
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
     n, p = X1.shape
     R_aug = np.linalg.qr(np.column_stack([X1, Y1]), mode="r")
+    R = R_aug[:p, :p]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            R_inv = np.linalg.inv(R)
+        except np.linalg.LinAlgError:
+            certified = False
+        else:
+            gram_inverse_diag = (R_inv**2).sum(axis=1)
+            certified = np.linalg.norm(R) * np.sqrt(gram_inverse_diag.sum()) * _SINGULAR_RTOL < 0.5
+    if not certified:
+        svals = np.linalg.svd(R, compute_uv=False)
+        if svals[0] == 0 or svals[-1] < _SINGULAR_RTOL * svals[0]:
+            raise SingularDesignError(
+                f"design is numerically singular: singular values in [{svals[-1]:.3e}, {svals[0]:.3e}]"
+            )
+        R_inv = np.linalg.inv(R)
+        gram_inverse_diag = (R_inv**2).sum(axis=1)
+    theta_hat = R_inv @ R_aug[:p, p]
+    sigma_hat = float(abs(R_aug[p, p]) / np.sqrt(n - p))
+    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=gram_inverse_diag, sigma_hat=sigma_hat)
+
+
+def ols_fit_svd_guard(X1, Y1):
+    """`ols_fit` with the rank guard as first written: the fit's factor (the
+    certified Cholesky factor, else Householder QR), the SVD of R on every
+    call, then the inverse.  The certified fit must match it bit for bit."""
+    X1 = np.asarray(X1, dtype=float)
+    Y1 = np.asarray(Y1, dtype=float)
+    n, p = X1.shape
+    A = np.column_stack([X1, Y1])
+    cholesky = _cholesky_factor(A)
+    R_aug = np.linalg.qr(A, mode="r") if cholesky is None else cholesky[0]
     R = R_aug[:p, :p]
     svals = np.linalg.svd(R, compute_uv=False)
     if svals[0] == 0 or svals[-1] < _SINGULAR_RTOL * svals[0]:
         raise SingularDesignError(
             f"design is numerically singular: singular values in [{svals[-1]:.3e}, {svals[0]:.3e}]"
         )
-    R_inv = np.linalg.inv(R)
-    theta_hat = R_inv @ R_aug[:p, p]
+    if cholesky is None:
+        R_inv = np.linalg.inv(R)
+        theta_hat, gram_inverse_diag = R_inv @ R_aug[:p, p], (R_inv**2).sum(axis=1)
+    else:
+        _, theta_hat, gram_inverse_diag = cholesky
     sigma_hat = float(abs(R_aug[p, p]) / np.sqrt(n - p))
-    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=(R_inv**2).sum(axis=1),
-                  sigma_hat=sigma_hat)
+    return OlsFit(theta_hat=theta_hat, gram_inverse_diag=gram_inverse_diag, sigma_hat=sigma_hat)
 
 
 def design_with_spectrum(n, svals, rng):
@@ -109,6 +146,49 @@ def near_threshold_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = design_with_spectrum(n, np.geomspace(1.0, 10.0 ** draw(st.floats(-12, -8)), p), rng)
     return X, rng.standard_normal(n)
+
+
+@st.composite
+def gaussian_blocks(draw):
+    """Gaussian n = 2p blocks at the sizes of the tall benchmark's fits and
+    above, with a Gaussian response."""
+    p = draw(st.sampled_from([50, 100, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((2 * p, p)), rng.standard_normal(2 * p)
+
+
+def _uncertified_inputs(name):
+    """Inputs whose Cholesky factor is not certified, by name."""
+    rng = np.random.default_rng(12)
+    X, Y = rng.standard_normal((30, 6)), rng.standard_normal(30)
+    if name == "rescaled-columns":
+        return X * 10.0 ** np.linspace(-3, 3, 6), Y
+    if name == "near-singular-fitted":
+        return design_with_spectrum(30, np.geomspace(1.0, 1e-8, 6), rng), Y
+    if name == "near-singular-rejected":
+        return design_with_spectrum(30, np.geomspace(1.0, 1e-12, 6), rng), Y
+    if name == "noiseless":
+        return X, X @ rng.standard_normal(6)
+    if name == "zero-response":
+        return X, np.zeros(30)
+    # at 1e-150 and 1e150 only the range of the Gram diagonal rejects the factor
+    scale = {"small": 1e-150, "large": 1e150, "tiny": 1e-160, "huge": 1e160}[name]
+    return X * scale, Y * scale
+
+
+def _outcome(fit, X, Y):
+    """The fit's bits, or the type and message of what it raised, and the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = fit(X, Y)
+        except SingularDesignError as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (got.theta_hat.tobytes(), got.gram_inverse_diag.tobytes(),
+                      np.float64(got.sigma_hat).tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 def _gaussian_sample(N, p, theta=None, sigma=1.0, seed=0):
@@ -230,25 +310,58 @@ class TestOlsFit:
         assert got.sigma_hat == want.sigma_hat
 
     def test_svd_only_when_not_certified(self, monkeypatch):
-        """Well-conditioned designs are certified without an SVD; a design at
-        sigma_min/sigma_max = 1e-12 and an all-zero one take exactly one, and
-        are rejected."""
-        calls = []
-        real = np.linalg.svd
+        """Well-conditioned designs take the Cholesky factor, with no QR and no
+        SVD; a design at sigma_min/sigma_max = 1e-12 and an all-zero one take
+        exactly one QR and one SVD each, and are rejected."""
+        calls = {"qr": [], "svd": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+            def count(*args, **kwargs):
+                calls[name].append(args[0].shape)
+                return real(*args, **kwargs)
+            return count
+
         rng = np.random.default_rng(11)
+        rejected = (design_with_spectrum(40, np.geomspace(1.0, 1e-12, 5), rng), np.zeros((6, 2)))
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         for n, p in ((100, 50), (200, 100)):
             ols_fit(rng.standard_normal((n, p)), rng.standard_normal(n))
-        assert calls == []
-        for X in (design_with_spectrum(40, np.geomspace(1.0, 1e-12, 5), rng), np.zeros((6, 2))):
+        assert calls == {"qr": [], "svd": []}
+        for X in rejected:
             with pytest.raises(SingularDesignError, match="numerically singular"):
                 ols_fit(X, rng.standard_normal(len(X)))
-        assert calls == [(5, 5), (2, 2)]
+        assert calls == {"qr": [(40, 6), (6, 3)], "svd": [(5, 5), (2, 2)]}
+
+    @PROPERTY
+    @given(st.one_of(ols_inputs(), gaussian_blocks()))
+    def test_certified_fits_match_householder(self, XY):
+        """Where the Cholesky factor is certified, the fit agrees with
+        Householder QR within RTOL; Gaussian n = 2p blocks are always certified."""
+        X, Y = XY
+        if _cholesky_factor(np.column_stack([X, Y])) is None:
+            assert X.shape[1] <= 12, "a Gaussian n = 2p block was not certified"
+            return
+        got, want = ols_fit(X, Y), ols_fit_householder(X, Y)
+        assert np.linalg.norm(got.theta_hat - want.theta_hat) <= RTOL * np.linalg.norm(want.theta_hat)
+        np.testing.assert_allclose(got.gram_inverse_diag, want.gram_inverse_diag, rtol=RTOL, atol=0)
+        assert got.sigma_hat == pytest.approx(want.sigma_hat, rel=RTOL, abs=0)
+
+    @pytest.mark.parametrize("name", ["rescaled-columns", "near-singular-fitted",
+                                      "near-singular-rejected", "noiseless", "zero-response",
+                                      "small", "large", "tiny", "huge"])
+    def test_uncertified_inputs_give_householder_bits(self, name):
+        """An input whose Cholesky factor is not certified gets the Householder
+        fit's bits, or its exception, with the same warnings: at 1e-160 both
+        warn that R^{-1} squared overflows."""
+        X, Y = _uncertified_inputs(name)
+        assert _cholesky_factor(np.column_stack([X, Y])) is None
+        got, want = _outcome(ols_fit, X, Y), _outcome(ols_fit_householder, X, Y)
+        assert got == want
+        if name == "tiny":
+            assert [message for _, message in want[1]] == ["overflow encountered in square"]
 
 
 class TestBranchRule:

@@ -220,9 +220,11 @@ def test_split_calibration_is_bit_identical(case, workers, monkeypatch):
 
 
 # Relative gap allowed between split and serial statistics where BLAS bits
-# depend on the thread count.  At p=400, N=2000 in the low regime, the serial
-# loop's least squares on 1000 x 400 blocks with 2 OpenBLAS threads and the
-# workers' with 1 differed by up to 2.9e-15 on 2 cores.
+# depend on the thread count.  With 2 OpenBLAS threads in the serial loop and
+# 1 in the workers, on 2 cores, the low regime's least squares forms its Gram
+# matrix with a product that rounds with the thread count: over these 6
+# trials the statistics differed by up to 4.8e-15 at p=400, N=2000 and by up
+# to 2.8e-15 at p=100, N=400.
 SPLIT_RTOL = 1e-12
 
 
@@ -232,14 +234,15 @@ def test_split_calibration_within_tolerance_at_threaded_sizes(monkeypatch):
     threads and the caller's threads give statistics and beta that agree within
     SPLIT_RTOL, not bit for bit.  On one core, or with one BLAS thread, they
     are equal."""
-    args = dict(p=400, N=2000, s=3, regime="low", alpha=1.0, trials=6, seed=0)
-    before = _children()
-    stats, beta = _calibrate_over(1, monkeypatch, **args)
-    split_stats, split_beta = _calibrate_over(2, monkeypatch, **args)
-    assert np.all(stats > 0)
-    np.testing.assert_allclose(split_stats, stats, rtol=SPLIT_RTOL)
-    np.testing.assert_allclose(split_beta, beta, rtol=SPLIT_RTOL)
-    assert _children() == before
+    for p, N in ((400, 2000), (100, 400)):
+        args = dict(p=p, N=N, s=3, regime="low", alpha=1.0, trials=6, seed=0)
+        before = _children()
+        stats, beta = _calibrate_over(1, monkeypatch, **args)
+        split_stats, split_beta = _calibrate_over(2, monkeypatch, **args)
+        assert np.all(stats > 0)
+        np.testing.assert_allclose(split_stats, stats, rtol=SPLIT_RTOL)
+        np.testing.assert_allclose(split_beta, beta, rtol=SPLIT_RTOL)
+        assert _children() == before
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
