@@ -1,4 +1,4 @@
-"""One batch of range calls, split over worker interpreters when it is large.
+"""One batch of range calls, split over forked workers when it is large.
 
 A call ``(function, args, n, draws_per_item)`` asks for items 0..n-1 of a list,
 which ``function(*args, lo, hi)`` computes lo..hi-1 of: the estimates of one
@@ -7,52 +7,81 @@ statistics of one null calibration (:func:`signalnorm.calibration.calibrate_beta
 Item i depends only on i and `args`, so :func:`run` may split each call's
 items into one contiguous range per worker and join the ranges in order.
 
-The workers are fresh interpreters with single-threaded BLAS, started by each
-split :func:`run` and killed when it returns.  Each reads one pickled request,
-the caller's warning filters and its range of every call, named by module and
-function; it answers with one pickled result per call, the items or the
-exception the range raised, and exits.
+The workers are children that each split :func:`run` forks from the calling
+process, so they inherit its functions, arguments and warning filters; nothing
+is sent to them.  A child sets its own OpenBLAS to one thread, computes its
+range of every call, writes one pickled result per call, the items or the
+exception the range raised, to a pipe and ends with ``os._exit``.  A batch
+splits only where that is safe: with ``os.fork``, ``os.sched_getaffinity`` and
+the thread setter of the OpenBLAS that numpy loaded, and with no other Python
+thread in the caller.  Elsewhere it runs in the calling process.
 """
 
 from __future__ import annotations
 
-import importlib
+import functools
 import os
 import pickle
 import sys
+import threading
 import warnings
-from pathlib import Path
 
 # Draws, rows * (p + 1) summed over every estimate a run makes, that each
-# worker must have before the run splits; a worker costs about 0.25 s to
-# start.  One calibration, serial against 2 workers on 2 cores (numpy 2.4,
-# OpenBLAS 0.3.31 with 2 threads), medians of 5 runs for the low regime, whose
-# least squares takes the Cholesky factor, and of 3-4 for the high one:
-#   low regime, N=200, p=50, 500 trials (5.1M draws):  0.41 s against 0.44 s;
-#   low regime, N=400, p=100, 200 trials (8.1M):       0.36 s against 0.48 s;
-#                            420 trials (17.0M):       0.83 s against 0.64 s;
-#   high regime, N=600, p=400, s=3, 60 trials (14.4M): 0.35 s against 0.44 s;
-#                            85 trials (20.5M):        0.51 s against 0.53 s;
-#                            125 trials (30.1M):       0.65 s against 0.58 s.
-# Break-even is near 5.7M draws per worker in the low regime (3.5M when each
-# fit ran a Householder QR) and 11M in the high one; 2**23 = 8.4M lies between.
-_DRAWS_PER_WORKER = 1 << 23
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_WORKER = "from signalnorm._workers import main; main()"
+# worker must have before the run splits.  Forking 2 workers and reading their
+# answers costs about 0.02 s, but with both cores busy a worker's trial takes
+# up to twice as long as a serial one.  One calibration, serial against 2
+# workers on 2 cores (numpy 2.4, OpenBLAS 0.3.31 with 2 threads), medians of 7
+# alternating runs:
+#   low regime, N=200, p=50, 200 trials (2.0M draws):  0.12 s against 0.19 s;
+#                            500 trials (5.1M):        0.33 s against 0.29 s;
+#   low regime, N=400, p=100, 100 trials (4.0M):       0.14 s against 0.16 s;
+#                            200 trials (8.1M):        0.34 s against 0.25 s;
+#                            420 trials (17.0M):       0.68 s against 0.49 s;
+#   high regime, N=600, p=400, s=3, 15 trials (3.6M):  0.085 s against 0.095 s;
+#                            30 trials (7.2M):         0.17 s against 0.17 s;
+#                            60 trials (14.4M):        0.31 s against 0.25 s.
+# Break-even lies between 2.0M and 2.6M draws per worker in the low regime and
+# near 3.6M in the high one; 2**21 = 2.1M is at its low end.
+_DRAWS_PER_WORKER = 1 << 21
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy loaded, or None."""
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+
+    for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
 
 
 def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    """The cores of this process's affinity mask, or 1 where a child cannot be
+    forked safely or made single-threaded."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1 or _blas_thread_setter() is None):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def worker_count(draws: int, items: int) -> int:
     """Workers for a run of `draws` draws whose largest call has `items` items:
     at most one per usable core and per item, and none with fewer than
-    _DRAWS_PER_WORKER draws.  Below 2 the run stays in this process."""
-    return min(_usable_cores(), items, draws // _DRAWS_PER_WORKER)
+    _DRAWS_PER_WORKER draws.  Below 2 the run stays in this process.  Only a
+    run large enough to split looks up the cores, and with them the OpenBLAS
+    setter."""
+    workers = min(items, draws // _DRAWS_PER_WORKER)
+    return min(workers, _usable_cores()) if workers > 1 else workers
 
 
 def _run(function, args: tuple, lo: int, hi: int):
@@ -71,57 +100,87 @@ def _joined(parts: tuple):
     return [item for part in parts for item in part]
 
 
+def _flush() -> None:
+    """Write out what sys.stdout and sys.stderr buffer."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # no stream, or a closed one
+            pass
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn on a fork while other threads run, as
+        # OpenBLAS's pool threads do.  This fork is safe all the same: OpenBLAS
+        # stops its pool in a pthread_atfork handler before the fork, and the
+        # child runs BLAS on one thread.
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of "
+                                r"fork\(\) may lead to deadlocks in the child\.", DeprecationWarning)
+        return os.fork()
+
+
+def _answer(calls: list, j: int, k: int, pipe):
+    """In the forked worker j of k: write to `pipe` the pickled results of
+    range j of every call, then exit.  Every path ends in os._exit, so nothing
+    unwinds into the caller's stack, its finally blocks or its atexit handlers."""
+    code = 1
+    try:
+        setter = _blas_thread_setter()
+        if setter is not None:
+            setter(1)
+        answer = pickle.dumps([_run(function, args, n * j // k, n * (j + 1) // k)
+                               for function, args, n, _ in calls])
+        _flush()  # before the caller, having read the answer, kills this worker
+        pipe.write(answer)
+        pipe.flush()
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 1
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        _flush()
+        os._exit(code)
+
+
 def run(calls: list) -> list:
     """For each call ``(function, args, n, draws_per_item)``, the items 0..n-1
     of ``function(*args, lo, hi)`` as one list, or the exception raised by the
     lowest range that raised.  The batch splits over :func:`worker_count` of
     its draws, n * draws_per_item summed over the calls, and its largest n;
-    below 2 workers every call runs whole in this process.  A worker that dies
+    below 2 workers every call runs whole in this process.  A worker that ends
     without answering raises `RuntimeError` with its exit code."""
     k = worker_count(sum(n * draws for _, _, n, draws in calls), max(n for _, _, n, _ in calls))
     if k < 2:
         return [_run(function, args, 0, n) for function, args, n, _ in calls]
-    import subprocess  # only a split run starts processes
+    import signal
 
-    env = dict(os.environ, **dict.fromkeys(_BLAS_THREADS, "1"))
-    root = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    procs = []
+    _flush()  # else each worker would write again what this process buffered
+    pids, pipes = [], []  # the live workers, and the read ends of their answers
     try:
-        for _ in range(k):
-            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER],
-                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
-        for j, proc in enumerate(procs):
-            ranges = [(function.__module__, function.__name__, args, n * j // k, n * (j + 1) // k)
-                      for function, args, n, _ in calls]
-            try:
-                proc.stdin.write(pickle.dumps((warnings.filters, ranges)))
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass  # the worker is gone; reading its answer reports its exit code
+        for j in range(k):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as pipe:
+                pid = _fork()
+                if pid == 0:
+                    _answer(calls, j, k, pipe)
+            pids.append(pid)
         answers = []
-        for proc in procs:
+        for pid, pipe in zip(list(pids), pipes):
             try:
-                answers.append(pickle.load(proc.stdout))
+                answers.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"a worker exited with code {proc.wait()} and no result") from None
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"a worker exited with code {code} and no result") from None
     finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-            for pipe in (proc.stdin, proc.stdout):
-                try:
-                    pipe.close()
-                except OSError:  # unflushed bytes to a worker that is gone
-                    pass
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return [_joined(parts) for parts in zip(*answers)]
-
-
-def main() -> None:
-    """Answer one request read from stdin on stdout."""
-    filters, ranges = pickle.load(sys.stdin.buffer)
-    warnings.resetwarnings()  # voids what start-up registered under the old filters
-    warnings.filters[:] = filters
-    results = [_run(getattr(importlib.import_module(module), name), args, lo, hi)
-               for module, name, args, lo, hi in ranges]
-    sys.stdout.buffer.write(pickle.dumps(results))

@@ -15,10 +15,12 @@ same job, call and quantile (:func:`_job`, :func:`_call`, :func:`_beta`).
 Trial i draws its null from its own seed,
 ``SeedSequence(seed, spawn_key=(0xCA11B, i))``, so where it runs cannot change
 what it computes.  A large calibration uses the usable cores: it splits its
-trials into contiguous ranges, at most one per core, over the single-threaded
-worker interpreters of :mod:`signalnorm._workers`.  The statistics, joined in
-trial order, and beta are those of a serial run: bit for bit where BLAS gives
-the same bits with one thread as with the caller's count, and otherwise within
+trials into contiguous ranges, at most one per core, over workers that
+:mod:`signalnorm._workers` forks from the caller, each of which sets its own
+OpenBLAS to one thread.  Where no worker can be forked safely and made
+single-threaded, it runs serially.  The statistics, joined in trial order,
+and beta are those of a serial run: bit for bit where BLAS gives the same
+bits with one thread as with the caller's count, and otherwise within
 rounding (the README's "Simulation config schema" names the sizes measured).
 There is no option for it, and the caller's environment and BLAS threads are
 left as they are.

@@ -5,7 +5,7 @@ dimension and sparsity given as small expressions of n, so they can grow
 together), noise levels, and signal magnitudes.  Every trial derives its own
 seed from the configuration seed and its grid/replication index, so results
 do not depend on execution order, and a large run splits its estimates and
-null calibrations, as one batch, over worker interpreters
+null calibrations, as one batch, over workers forked from the caller
 (:mod:`signalnorm._workers`).  Trials that raise are recorded with an error
 tag and excluded from aggregates, never silently dropped.
 """
@@ -385,9 +385,11 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     and, for a detect task without a beta, one null calibration for each n
     (p, s, the regime and the rows used are functions of n); then it makes
     every decision, in trial order.  A large batch splits each point's
-    replications and each calibration's null trials over worker interpreters;
-    a trial, or a calibration, gives what it gives serially, bit for bit or
-    within rounding as the README's "Simulation config schema" sets out.
+    replications and each calibration's null trials over workers forked from
+    this process, each with single-threaded BLAS, where that is safe; a
+    trial, or a calibration, gives what it gives serially, bit for bit or
+    within rounding as the README's "Simulation config schema" sets out.  The
+    caller's environment and BLAS threads are left as they are.
 
     A calibration that raises a tagged error tags every trial at its n whose
     estimate succeeded; at an n where every estimate failed, its result goes

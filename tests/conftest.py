@@ -13,7 +13,7 @@ def _children() -> set[str]:
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process of this one alive, such as a
-    worker interpreter that outlived its run.  Without /proc nothing is
+    forked worker that outlived its run.  Without /proc nothing is
     checked."""
     if not TASKS.is_dir():
         yield

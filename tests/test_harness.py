@@ -1,17 +1,16 @@
 """Tests for the Monte Carlo experiment engine and its reporting."""
 
-import importlib
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
 
 from signalnorm import ExperimentConfig, _workers, calibration, harness, pipeline, report, run_trials
+from signalnorm.calibration import _null_statistics
 from signalnorm.harness import (
-    TrialRecord, _trial_seed, eval_rule, fit_rate, metric_points, read_records, run_single_trial,
-    summarize,
+    TrialRecord, _estimates, _trial_seed, eval_rule, fit_rate, metric_points, read_records,
+    run_single_trial, summarize,
 )
 from signalnorm.lower_bounds import q_lower_bound, rate_sq
 from signalnorm.model import DESIGN_LAWS, NOISE_LAWS
@@ -274,15 +273,8 @@ class TestRunTrials:
         assert abs(rate - config.delta) <= 3 * np.sqrt(2 * 0.1 * 0.9 / 500)
 
 
-# Stand-ins for the range functions of a run, in a module that worker
-# interpreters import by name as they import the real ones.
-STAND_INS = """
-import os
-
-from signalnorm.calibration import _null_statistics
-from signalnorm.harness import _estimates
-
-
+# Stand-ins for the range functions of a run.  Forked workers run whatever
+# function the run names, so a monkeypatched one runs there too.
 def nulls_failing_at_48_rows(job, lo, hi):
     if job["N"] == 48:
         raise ValueError("no null statistic")
@@ -293,10 +285,13 @@ def nulls_raising(job, lo, hi):
     raise KeyError(f"N={job['N']} from null trial {lo}")
 
 
-def estimates_logged(config, point, lo, hi):
-    with open(os.environ["STAND_INS_LOG"], "a") as log:
-        log.writelines(f"{point['index']} {rep}\\n" for rep in range(lo, hi))
-    return _estimates(config, point, lo, hi)
+def estimates_logged_to(log):
+    """`_estimates` that first appends `index rep` lines to the file `log`."""
+    def estimates_logged(config, point, lo, hi):
+        with open(log, "a") as out:
+            out.writelines(f"{point['index']} {rep}\n" for rep in range(lo, hi))
+        return _estimates(config, point, lo, hi)
+    return estimates_logged
 
 
 def estimates_raising(config, point, lo, hi):
@@ -305,23 +300,15 @@ def estimates_raising(config, point, lo, hi):
 
 def estimates_exiting(config, point, lo, hi):
     os._exit(3)
-"""
 
 
-@pytest.fixture
-def stand_ins(tmp_path, monkeypatch):
-    """The stand-in module, importable here and in the worker interpreters."""
-    (tmp_path / "stand_ins.py").write_text(STAND_INS)
-    monkeypatch.syspath_prepend(str(tmp_path))
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
-    monkeypatch.delitem(sys.modules, "stand_ins", raising=False)
-    return importlib.import_module("stand_ins")
+def estimates_raising_system_exit(config, point, lo, hi):
+    raise SystemExit(4)
 
 
 def run_over(workers, config, monkeypatch):
     """`run_trials(config)` with its estimates and calibrations split over
-    `workers` worker interpreters (1: in this process), whatever its size."""
+    `workers` forked workers (1: in this process), whatever its size."""
     with monkeypatch.context() as patch:
         patch.setattr(_workers, "worker_count", lambda draws, items: workers)
         return run_trials(config)
@@ -334,14 +321,14 @@ MIXED = dict(task="detect", n=[8, 16, 24], p_rule="10", s_rule="2", magnitude=[0
 
 
 class TestSplitRun:
-    """Runs forced onto worker interpreters where trials or calibrations fail.
+    """Runs forced onto forked workers where trials or calibrations fail.
     No test leaves a worker behind, as the autouse fixture checks."""
 
-    def test_tagged_estimates_and_calibrations_as_in_process(self, stand_ins, monkeypatch):
+    def test_tagged_estimates_and_calibrations_as_in_process(self, monkeypatch):
         """Estimates tagged with errors come back tagged as in this process, and
         a failing calibration tags exactly the trials at its n whose estimate
         succeeded, with the message this process gives; the other n decides."""
-        monkeypatch.setattr(calibration, "_null_statistics", stand_ins.nulls_failing_at_48_rows)
+        monkeypatch.setattr(calibration, "_null_statistics", nulls_failing_at_48_rows)
         config = tiny_config(**MIXED)
         alone = run_over(1, config, monkeypatch)
         for workers in (2, 3):
@@ -372,33 +359,45 @@ class TestSplitRun:
             ("_null_statistics", 2 * n, 7, 2 * n * 11) for n in (8, 16, 24)]
         assert [r.decision is None for r in records] == [True] * 6 + [False] * 12
 
-    def test_untagged_error_raised_from_earliest_trial(self, stand_ins, monkeypatch):
+    def test_untagged_error_raised_from_earliest_trial(self, monkeypatch):
         """An exception that tags no trial ends the run, raised from the first
         trial that raised, in this process or over workers."""
-        monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_raising)
+        monkeypatch.setattr(harness, "_estimates", estimates_raising)
         for workers in (1, 2):
             with pytest.raises(KeyError, match="n=8 from replication 0"):
                 run_over(workers, tiny_config(**MIXED), monkeypatch)
 
-    def test_untagged_calibration_error_raised_after_every_estimate(self, stand_ins,
-                                                                    tmp_path, monkeypatch):
+    def test_untagged_calibration_error_raised_after_every_estimate(self, tmp_path, monkeypatch):
         """An exception that tags no trial, raised by a null calibration, ends
         the run from the first n and null trial that raised, once every
         replication of every grid point has been estimated."""
-        monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_logged)
-        monkeypatch.setattr(calibration, "_null_statistics", stand_ins.nulls_raising)
+        monkeypatch.setattr(calibration, "_null_statistics", nulls_raising)
         for workers in (1, 2):
             log = tmp_path / f"estimated-over-{workers}"
-            monkeypatch.setenv("STAND_INS_LOG", str(log))
+            monkeypatch.setattr(harness, "_estimates", estimates_logged_to(log))
             with pytest.raises(KeyError, match="N=16 from null trial 0"):
                 run_over(workers, tiny_config(**MIXED), monkeypatch)
             assert sorted(log.read_text().splitlines()) == [
                 f"{index} {rep}" for index in range(6) for rep in range(3)]
 
-    def test_worker_that_dies_raises_its_exit_code(self, stand_ins, monkeypatch):
-        monkeypatch.setattr(harness, "_estimates", stand_ins.estimates_exiting)
+    def test_worker_that_dies_raises_its_exit_code(self, monkeypatch):
+        monkeypatch.setattr(harness, "_estimates", estimates_exiting)
         with pytest.raises(RuntimeError, match="a worker exited with code 3 and no result"):
             run_over(2, tiny_config(**MIXED), monkeypatch)
+
+    def test_worker_that_raises_system_exit_unwinds_nothing(self, tmp_path, monkeypatch):
+        """A SystemExit raised in a worker ends that worker with its code: it
+        does not unwind into the caller's stack, whose finally block runs once,
+        in this process."""
+        monkeypatch.setattr(harness, "_estimates", estimates_raising_system_exit)
+        log = tmp_path / "finally"
+        try:
+            with pytest.raises(RuntimeError, match="a worker exited with code 4 and no result"):
+                run_over(2, tiny_config(**MIXED), monkeypatch)
+        finally:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+        assert log.read_text().splitlines() == [str(os.getpid())]
 
 
 class TestFitRate:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -160,19 +161,14 @@ def test_calibrate_beta_needs_a_regime():
         calibrate_beta(p=8, N=32, s=2, trials=10)
 
 
-class _WorkerCannotImport(Warning):
-    """A warning category the worker interpreters cannot unpickle: this test
-    module is not importable there."""
-
-
 def _children() -> set[str]:
     """Process ids of the live children of this process, over all its threads."""
     return {pid for f in Path("/proc/self/task").glob("*/children") for pid in f.read_text().split()}
 
 
 def _calibrate_over(workers, monkeypatch, **args):
-    """`calibrate_beta(**args)` with its trials split over `workers` worker
-    interpreters (1: the serial loop), whatever its size and the host's cores,
+    """`calibrate_beta(**args)` with its trials split over `workers` forked
+    workers (1: the serial loop), whatever its size and the host's cores,
     and the null statistics it took the quantile of."""
     quantile, seen = calibration._beta, []
 
@@ -248,8 +244,9 @@ def test_split_calibration_within_tolerance_at_threaded_sizes(monkeypatch):
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
 def test_split_calibration_raises_as_the_serial_loop(monkeypatch):
     """A trial that fails in a worker raises the serial loop's exception, type
-    and message; a worker that dies without a result raises RuntimeError with
-    its exit code.  Either way no child process is left behind."""
+    and message; a worker whose statistics cannot be pickled ends without a
+    result and raises RuntimeError with its exit code.  Either way no child
+    process is left behind."""
     args = dict(SPLIT_CASES["low"], s=11)  # s > p
     before = _children()
     with pytest.raises(ValueError) as serial:
@@ -258,10 +255,84 @@ def test_split_calibration_raises_as_the_serial_loop(monkeypatch):
         _calibrate_over(2, monkeypatch, **args)
     assert str(split.value) == str(serial.value) == "s must satisfy 1 <= s <= p, got s=11, p=10"
     assert _children() == before
-    with warnings.catch_warnings(), pytest.raises(RuntimeError, match="exited with code 1"):
-        warnings.simplefilter("ignore", _WorkerCannotImport)
+    with monkeypatch.context() as patch, pytest.raises(
+            RuntimeError, match="a worker exited with code 1 and no result"):
+        patch.setattr(calibration, "_null_statistics",
+                      lambda job, lo, hi: [lambda: None] * (hi - lo))
         _calibrate_over(2, monkeypatch, **SPLIT_CASES["low"])
     assert _children() == before
+
+
+def test_split_calibration_ignores_the_fork_warning(monkeypatch):
+    """A fork that warns as Python 3.12 and later do in a process with other
+    threads, such as OpenBLAS's pool, fails no split calibration under the
+    `error` filter: the statistics and beta are the serial loop's bits."""
+    stats, beta = _calibrate_over(1, monkeypatch, **SPLIT_CASES["low"])
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                      "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split_stats, split_beta = _calibrate_over(2, monkeypatch, **SPLIT_CASES["low"])
+        with pytest.raises(DeprecationWarning, match="multi-threaded"):
+            warning_fork()  # the filter is confined to the run's fork
+    assert split_stats.tobytes() == stats.tobytes()
+    assert np.float64(split_beta).tobytes() == np.float64(beta).tobytes()
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None when none is found."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+@pytest.mark.skipif(_workers._blas_thread_setter() is None, reason="needs numpy's OpenBLAS")
+def test_only_the_workers_run_blas_on_one_thread(monkeypatch):
+    """A range that reads OpenBLAS's thread count reads 1 in a worker, and the
+    caller's count is the same after the run as before."""
+    before = _blas_threads()
+    with monkeypatch.context() as patch:
+        patch.setattr(_workers, "worker_count", lambda draws, items: 2)
+        (threads,) = _workers.run([(lambda lo, hi: [_blas_threads()] * (hi - lo), (), 4, 1)])
+    assert threads == [1] * 4
+    assert _blas_threads() == before
+
+
+def test_no_split_where_a_fork_is_unsafe(monkeypatch):
+    """On 8 usable cores a large run gets 8 workers, and 1 when no OpenBLAS
+    thread setter is found or another Python thread is alive."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    draws = 100 * _workers._DRAWS_PER_WORKER
+    if _workers._blas_thread_setter() is not None:
+        assert _workers.worker_count(draws, 100) == 8
+    with monkeypatch.context() as patch:
+        patch.setattr(_workers, "_blas_thread_setter", lambda: None)
+        assert _workers.worker_count(draws, 100) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _workers.worker_count(draws, 100) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # The tall benchmark's `simulate` op: 400 trials and 2 calibrations of 500
@@ -272,10 +343,10 @@ TALL_SIMULATE = dict(seed=0, task="detect", regime="low", n=[100, 200], p_rule="
 
 
 def test_only_large_calibrations_split(monkeypatch):
-    """At most one worker per usable core and per 2**23 draws: the warm-up and
-    n=100 calibrations of the tall benchmark and the CLI session's detect stay
-    serial, and the tall n=200 one and the acceptance battery's split.  A run
-    counts the draws of all its estimates and calibrations: the tall benchmark's
+    """At most one worker per usable core and per 2**21 draws: the tall
+    benchmark's warm-up calibration stays serial, and its n=100 and n=200 ones,
+    the CLI session's detect and the acceptance battery's split.  A run counts
+    the draws of all its estimates and calibrations: the tall benchmark's
     warm-up and every golden `simulate` config stay in this process, and its op
     splits over every usable core."""
     from test_cli import REPORT_CONFIGS
@@ -302,13 +373,14 @@ def test_only_large_calibrations_split(monkeypatch):
     def run_count(config):
         return workers_for(harness.run_trials, ExperimentConfig.from_dict(config))
 
-    assert count(20, 400, 100) == count(500, 200, 50) == count(200, 400, 100) == 0
-    assert count(500, 400, 100) == 2
-    assert count(2000, 400, 100) == 8
+    assert count(20, 400, 100) == 0
+    assert count(500, 200, 50) == 2
+    assert count(200, 400, 100) == 3
+    assert count(500, 400, 100) == count(2000, 400, 100) == 8
     assert count(3, 10**6, 10**4) == 3
     assert run_count(dict(TALL_SIMULATE, replications=2, calib_trials=20)) == 0
     assert [run_count(config) for config in REPORT_CONFIGS.values()] == [0] * 6
-    assert run_count(TALL_SIMULATE) == 4
+    assert run_count(TALL_SIMULATE) == 8
     monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
     assert run_count(TALL_SIMULATE) == 2
 
@@ -333,6 +405,27 @@ def test_unguarded_caller_runs_once(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["body", repr(calibrate_beta(**SPLIT_CASES["low"]))]
     assert "Warning" not in proc.stderr
+
+
+def test_buffered_output_is_written_once(tmp_path):
+    """What a caller has printed but not yet flushed when a split run forks
+    its workers is written once, not once more by each worker."""
+    script = tmp_path / "buffered.py"
+    script.write_text(
+        "import sys\n"
+        "import signalnorm.calibration as calibration\n"
+        "import signalnorm._workers as workers\n"
+        "workers.worker_count = lambda draws, items: 2\n"
+        "print('out', end='')\n"
+        "print('err', end='', file=sys.stderr)\n"
+        f"calibration.calibrate_beta(**{SPLIT_CASES['low']!r})\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("out", "err")
 
 
 @pytest.mark.parametrize("regime, shape", [("low", (400, 100, 3)), ("high", (90, 40, 2)),
