@@ -140,7 +140,7 @@ def ols_inputs(draw):
 @st.composite
 def near_threshold_inputs(draw):
     """Designs with sigma_min/sigma_max between 1e-12 and 1e-8, on both sides of
-    the guard at 1e-10 and of the certificate near 2e-10, with a Gaussian response."""
+    the guard at 1e-10, with a Gaussian response."""
     p = draw(st.integers(2, 12))
     n = p + draw(st.integers(1, 36))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -189,6 +189,13 @@ def _outcome(fit, X, Y):
             result = (got.theta_hat.tobytes(), got.gram_inverse_diag.tobytes(),
                       np.float64(got.sigma_hat).tobytes())
     return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_within_rtol(got, want):
+    """theta_hat norm-wise, the inverse Gram diagonal and sigma_hat within RTOL."""
+    assert np.linalg.norm(got.theta_hat - want.theta_hat) <= RTOL * np.linalg.norm(want.theta_hat)
+    np.testing.assert_allclose(got.gram_inverse_diag, want.gram_inverse_diag, rtol=RTOL, atol=0)
+    assert got.sigma_hat == pytest.approx(want.sigma_hat, rel=RTOL, abs=0)
 
 
 def _gaussian_sample(N, p, theta=None, sigma=1.0, seed=0):
@@ -311,8 +318,10 @@ class TestOlsFit:
 
     def test_svd_only_when_not_certified(self, monkeypatch):
         """Well-conditioned designs take the Cholesky factor, with no QR and no
-        SVD; a design at sigma_min/sigma_max = 1e-12 and an all-zero one take
-        exactly one QR and one SVD each, and are rejected."""
+        SVD.  Any other design takes exactly one QR and one SVD: one at
+        sigma_min/sigma_max = 1e-5, which the Cholesky bound refuses and the
+        rank guard accepts, is fitted; one at 1e-12 and an all-zero one are
+        rejected."""
         calls = {"qr": [], "svd": []}
 
         def counting(name):
@@ -325,15 +334,28 @@ class TestOlsFit:
 
         rng = np.random.default_rng(11)
         rejected = (design_with_spectrum(40, np.geomspace(1.0, 1e-12, 5), rng), np.zeros((6, 2)))
+        accepted = design_with_spectrum(40, np.geomspace(1.0, 1e-5, 5), rng)
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
         for n, p in ((100, 50), (200, 100)):
             ols_fit(rng.standard_normal((n, p)), rng.standard_normal(n))
         assert calls == {"qr": [], "svd": []}
+        assert np.all(np.isfinite(ols_fit(accepted, rng.standard_normal(40)).theta_hat))
+        assert calls == {"qr": [(40, 6)], "svd": [(5, 5)]}
         for X in rejected:
             with pytest.raises(SingularDesignError, match="numerically singular"):
                 ols_fit(X, rng.standard_normal(len(X)))
-        assert calls == {"qr": [(40, 6), (6, 3)], "svd": [(5, 5), (2, 2)]}
+        assert calls == {"qr": [(40, 6), (40, 6), (6, 3)], "svd": [(5, 5), (5, 5), (2, 2)]}
+
+    def test_large_gaussian_blocks_are_certified(self):
+        """Gaussian n = 2p blocks have kappa_2 near 6 at every size, but the
+        trace bound on ||A||_2 reads about 1.44 p; the row-sum bound certifies
+        them at p = 700 and 1000, within RTOL of Householder QR."""
+        rng = np.random.default_rng(0)
+        for p in (700, 1000):
+            X, Y = rng.standard_normal((2 * p, p)), rng.standard_normal(2 * p)
+            assert _cholesky_factor(np.column_stack([X, Y])) is not None, p
+            _assert_within_rtol(ols_fit(X, Y), ols_fit_householder(X, Y))
 
     @PROPERTY
     @given(st.one_of(ols_inputs(), gaussian_blocks()))
@@ -344,10 +366,7 @@ class TestOlsFit:
         if _cholesky_factor(np.column_stack([X, Y])) is None:
             assert X.shape[1] <= 12, "a Gaussian n = 2p block was not certified"
             return
-        got, want = ols_fit(X, Y), ols_fit_householder(X, Y)
-        assert np.linalg.norm(got.theta_hat - want.theta_hat) <= RTOL * np.linalg.norm(want.theta_hat)
-        np.testing.assert_allclose(got.gram_inverse_diag, want.gram_inverse_diag, rtol=RTOL, atol=0)
-        assert got.sigma_hat == pytest.approx(want.sigma_hat, rel=RTOL, abs=0)
+        _assert_within_rtol(ols_fit(X, Y), ols_fit_householder(X, Y))
 
     @pytest.mark.parametrize("name", ["rescaled-columns", "near-singular-fitted",
                                       "near-singular-rejected", "noiseless", "zero-response",

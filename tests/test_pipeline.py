@@ -127,6 +127,17 @@ def test_alpha_and_beta_must_be_positive_in_both_regimes():
             detect(high, 8, "high", beta=bad)
 
 
+@pytest.mark.parametrize("prelim", ["zero", "bogus"])
+def test_low_regime_rejects_a_preliminary(prelim):
+    """The low regime always fits least squares, so any `prelim` but "srs"
+    raises instead of being ignored.  `c1` stays accepted: a run passes its
+    config's `c1` in both regimes."""
+    sample = synthesize(ModelSpec(theta=np.zeros(4), sigma=1.0), Dimensions(N=40, p=4, s=3), 1)
+    with pytest.raises(ValueError, match="high regime only"):
+        estimate(sample, 3, "low", prelim=prelim)
+    assert estimate(sample, 3, "low", c1=9.0) == estimate(sample, 3, "low")
+
+
 def test_estimate_without_noise_estimate_cannot_be_tested():
     """prelim="zero" fits nothing, so its estimate has sigma_hat None: the
     detection rule and the null statistic both refuse it by name."""
