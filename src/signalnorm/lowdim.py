@@ -32,19 +32,16 @@ __all__ = [
 _SINGULAR_RTOL = 1e-10
 
 # The fit keeps the Cholesky factor of A^T A, A = [X1 | Y1], only when
-# b ||R_aug^{-1}||_F <= _CHOLESKY_BOUND, where b^2 >= ||A||_2^2 is the trace of
-# A^T A or, when that refuses, its largest absolute row sum.  Forming A^T A
-# squares the condition number: the factor's relative error grows like
-# kappa(A)^2 * eps, against kappa(A) * eps for Householder QR, and kappa_2(A)
-# is at most the bound.  At 1e3, kappa^2 * eps stays near 1e-10, the tolerance
-# the tests hold the fit to against Householder QR (designs drawn up to the
-# bound strayed by at most 2.4e-11).  Gaussian n = 2p blocks, kappa_2 near 6,
-# read about 1.44 p under the trace (70 and 140 for the tall benchmark's
-# 100 x 51 and 200 x 101 blocks) and, from about p = 700 where that refuses,
-# 190 to 240 under the row sum up to p = 1000.  Since kappa_2(X1) <=
-# kappa_2(A), a certified X1 is far inside the rank guard.  A bound that is
-# large flags an ill-conditioned X1, or a Y1 near the span of X1, whose
-# residual norm, the corner of R_aug, cancels.
+# ||A||_F ||R_aug^{-1}||_F <= _CHOLESKY_BOUND.  Forming A^T A squares the
+# condition number: the factor's relative error grows like kappa(A)^2 * eps,
+# against kappa(A) * eps for Householder QR, and kappa_2(A) is at most the
+# bound.  At 1e3, kappa^2 * eps stays near 1e-10, the tolerance the tests hold
+# the fit to against Householder QR (designs drawn up to the bound strayed by
+# at most 2.4e-11); the tall benchmark's Gaussian 100 x 51 and 200 x 101
+# blocks read about 70 and 140.  The bound also bounds ||X1||_F ||R^{-1}||_F,
+# so a certified X1 has sigma_max / sigma_min <= 1e3, far inside the rank
+# guard.  A bound that is large flags an ill-conditioned X1, or a Y1 near the
+# span of X1, whose residual norm, the corner of R_aug, cancels.
 _CHOLESKY_BOUND = 1e3
 # Gram diagonals outside this range, the normal floats with a margin, go to
 # QR: below it the products behind A^T A round to subnormals and lose bits,
@@ -82,19 +79,17 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
 
     R_aug is first taken as the transposed Cholesky factor of A^T A, which
     equals the Householder factor up to row signs, with R inverted by halves.
-    That factor is kept only when b ||R_aug^{-1}||_F <= _CHOLESKY_BOUND, where
-    b^2 >= ||A||_2^2 is the trace of A^T A or else its largest absolute row
-    sum (Gershgorin), and ||R_aug^{-1}||_F^2 = sum(diag((X1^T X1)^{-1})) +
-    (1 + ||theta_hat||^2) / corner^2.  Otherwise (the bound is large or not
-    finite, the Cholesky factorization fails, as for an all-zero Y1, or a
-    diagonal entry of A^T A lies outside _GRAM_RANGE) the fit falls back to
-    one Householder QR of A.
+    That factor is kept only when ||A||_F ||R_aug^{-1}||_F <= _CHOLESKY_BOUND,
+    where ||R_aug^{-1}||_F^2 = sum(diag((X1^T X1)^{-1})) + (1 + ||theta_hat||^2)
+    / corner^2.  Otherwise (the bound is large or not finite, the Cholesky
+    factorization fails, as for an all-zero Y1, or a diagonal entry of A^T A
+    lies outside _GRAM_RANGE) the fit falls back to one Householder QR of A.
 
     R has the singular values of X1, and the rank guard rejects X1 when
     sigma_min < _SINGULAR_RTOL * sigma_max.  A certified Cholesky factor
-    clears it, since kappa_2(X1) is at most _CHOLESKY_BOUND.  On the QR path
-    the singular values of R decide (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 20), and R is inverted once the guard passes.
+    clears it, since ||X1||_F ||R^{-1}||_F is at most _CHOLESKY_BOUND.  On the
+    QR path the singular values of R decide (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 20), and R is inverted once the guard passes.
     """
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
@@ -111,9 +106,8 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
 
 def _cholesky_factor(A: np.ndarray):
     """``(R_aug, theta_hat, gram_inverse_diag)`` from the Cholesky factor of
-    A^T A, or None when b ||R_aug^{-1}||_F <= _CHOLESKY_BOUND holds for
-    neither bound b on ||A||_2.  Nothing here warns: a fit that falls back
-    warns as QR does."""
+    A^T A, or None when ||A||_F ||R_aug^{-1}||_F <= _CHOLESKY_BOUND does not
+    hold.  Nothing here warns: a fit that falls back warns as QR does."""
     p = A.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gram = A.T @ A
@@ -128,10 +122,8 @@ def _cholesky_factor(A: np.ndarray):
         gram_inverse_diag = (R_inv**2).sum(axis=1)
         theta_hat = R_inv @ R_aug[:p, p]
         inverse_sq = gram_inverse_diag.sum() + (1 + theta_hat @ theta_hat) / R_aug[p, p] ** 2
-        # the row sum (Gershgorin) only when the trace refuses; `<=`, so that
-        # a NaN bound is not a certificate
-        if not (np.sqrt(diag.sum() * inverse_sq) <= _CHOLESKY_BOUND
-                or np.sqrt(np.abs(gram).sum(axis=1).max() * inverse_sq) <= _CHOLESKY_BOUND):
+        # `<=`, so that a NaN bound is not a certificate
+        if not np.sqrt(diag.sum() * inverse_sq) <= _CHOLESKY_BOUND:
             return None
     return R_aug, theta_hat, gram_inverse_diag
 

@@ -36,11 +36,13 @@ def estimate(
     prelim: str = "srs",
 ) -> FunctionalEstimate:
     """Estimate the squared norm and the norm; `regime` is "low" (n > p) or
-    "high" (p >~ n).  `c1` and `prelim` apply to the high regime only; the low
-    regime always fits least squares, so it rejects any `prelim` but "srs"."""
+    "high" (p >~ n).  `c1` and `prelim` apply to the high regime only.  The
+    low regime always fits least squares, so it rejects any `prelim` but
+    "srs"; it still accepts `c1`, because the harness passes a run's config
+    `c1` in both regimes."""
     if regime == "low":
         if prelim != "srs":
-            raise ValueError(f"prelim {prelim!r} applies to the high regime only")
+            raise ValueError(f"prelim {prelim!r}: the low regime takes only 'srs'")
         return lowdim.estimate_lowdim(sample, s, alpha=alpha)
     if regime == "high":
         return highdim.estimate_highdim(sample, s, alpha=alpha, c1=c1, prelim=prelim)

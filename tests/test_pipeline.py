@@ -133,7 +133,7 @@ def test_low_regime_rejects_a_preliminary(prelim):
     raises instead of being ignored.  `c1` stays accepted: a run passes its
     config's `c1` in both regimes."""
     sample = synthesize(ModelSpec(theta=np.zeros(4), sigma=1.0), Dimensions(N=40, p=4, s=3), 1)
-    with pytest.raises(ValueError, match="high regime only"):
+    with pytest.raises(ValueError, match="low regime takes only 'srs'"):
         estimate(sample, 3, "low", prelim=prelim)
     assert estimate(sample, 3, "low", c1=9.0) == estimate(sample, 3, "low")
 
