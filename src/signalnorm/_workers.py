@@ -15,10 +15,14 @@ exception the range raised, to a pipe and ends with ``os._exit``.  A batch
 splits only where that is safe: with ``os.fork``, ``os.sched_getaffinity`` and
 the thread setter of the OpenBLAS that numpy loaded, and with no other Python
 thread in the caller.  Elsewhere it runs in the calling process.
+
+:func:`one_blas_thread` runs a block in the calling process on one OpenBLAS
+thread, for a product whose bits would otherwise depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import pickle
@@ -45,9 +49,9 @@ import warnings
 _DRAWS_PER_WORKER = 1 << 21
 
 
-@functools.cache
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS that numpy loaded, or None."""
+def _blas_thread_function(verb: str):
+    """``openblas_<verb>_num_threads`` ("set" or "get") of the OpenBLAS that
+    numpy loaded, or None."""
     import ctypes
     from pathlib import Path
 
@@ -55,14 +59,45 @@ def _blas_thread_setter():
 
     for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+        for symbol in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads"):
+            function = getattr(handle, symbol, None)
+            if function is not None:
+                function.argtypes = [ctypes.c_int] if verb == "set" else []
+                function.restype = None if verb == "set" else ctypes.c_int
+                return function
     return None
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy loaded, or None."""
+    return _blas_thread_function("set")
+
+
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS that numpy loaded, or None."""
+    return _blas_thread_function("get")
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, for a product whose
+    bits would otherwise depend on the thread count, and restore the caller's
+    count afterwards, also after a raise.  Without both the setter and the
+    getter it changes nothing.  The count belongs to the process, so BLAS
+    calls of other Python threads inside the block run on one thread too."""
+    setter, getter = _blas_thread_setter(), _blas_thread_getter()
+    if setter is None or getter is None:
+        yield
+        return
+    threads = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
 
 
 def _usable_cores() -> int:

@@ -22,8 +22,9 @@ single-threaded, it runs serially.  The statistics, joined in trial order,
 and beta are those of a serial run: bit for bit where BLAS gives the same
 bits with one thread as with the caller's count, and otherwise within
 rounding (the README's "Simulation config schema" names the sizes measured).
-There is no option for it, and the caller's environment and BLAS threads are
-left as they are.
+There is no option for it.  The caller's environment is left as it is, and
+so is its BLAS thread count, which a wide-regime fit sets to one only around
+its Gram-row products and then restores (see :mod:`signalnorm.slope`).
 """
 
 from __future__ import annotations

@@ -389,7 +389,9 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     this process, each with single-threaded BLAS, where that is safe; a
     trial, or a calibration, gives what it gives serially, bit for bit or
     within rounding as the README's "Simulation config schema" sets out.  The
-    caller's environment and BLAS threads are left as they are.
+    caller's environment is left as it is, and so is its BLAS thread count,
+    which a wide-regime fit sets to one only around its Gram-row products and
+    then restores.
 
     A calibration that raises a tagged error tags every trial at its n whose
     estimate succeeded; at an n where every estimate failed, its result goes

@@ -94,6 +94,8 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
     n, p = X1.shape
+    if Y1.ndim != 1:
+        raise ValueError(f"Y1 must be a 1-d vector, got shape {Y1.shape}")
     if Y1.shape[0] != n:
         raise ValueError("row mismatch between X1 and Y1")
     if n <= p:

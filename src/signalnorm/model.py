@@ -126,6 +126,8 @@ class RegressionSample:
         self.Y = np.ascontiguousarray(self.Y, dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
+        if self.Y.ndim != 1:
+            raise ValueError(f"Y must be a 1-d vector, got shape {self.Y.shape}")
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError(
                 f"row mismatch: X has {self.X.shape[0]} rows, Y has {self.Y.shape[0]}"

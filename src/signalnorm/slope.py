@@ -13,14 +13,16 @@ per-observation normalization of the loss, i.e. it minimizes the equivalent
 iteration reusing the residual its line search accepted.  The iterates are
 sparse (a few dozen nonzeros out of thousands of columns on wide designs), so
 a residual multiplies only the columns of the iterate's nonzero coordinates
-when they are at most an eighth of them; the gradient's ``X^T r`` stays a
-full product.  The prox of the sorted-L1 norm is the isotonic fit of
-Bogdan et al. (AoAS 2015): a stack-based pool-adjacent-violators pass over
-the sorted magnitudes minus the weights, which stops after the last entry
-that is not clearly negative, since every later entry comes out as exactly
-zero.  For the same reason it sorts only the magnitudes that are not
-clearly below the smallest weight: the others form the tail of the sorted
-order, and none of them can lead the cut.
+when they are at most an eighth of them, and the gradient's ``X^T r`` comes
+from ``X^T Y`` and the cached Gram rows of the coordinates that have entered
+the support (`_GramRows`), which are built on one BLAS thread so that no bit
+depends on the thread count.  The prox of the sorted-L1 norm is the
+isotonic fit of Bogdan et al. (AoAS 2015): a stack-based
+pool-adjacent-violators pass over the sorted magnitudes minus the weights,
+which stops after the last entry that is not clearly negative, since every
+later entry comes out as exactly zero.  For the same reason it sorts only
+the magnitudes that are not clearly below the smallest weight: the others
+form the tail of the sorted order, and none of them can lead the cut.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._workers import one_blas_thread
 
 __all__ = [
     "SlopeFit",
@@ -53,6 +57,50 @@ def _matvec(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     if 8 * nz.size <= x.shape[0]:
         return X[:, nz] @ x[nz]
     return X @ x
+
+
+# The Gram form of X^T r loses about eps * ||Y|| / ||r|| relative accuracy, so
+# below this residual norm, relative to ||Y||_2, the full product is taken.
+_GRAM_FLOOR = 2.0**-6
+
+
+class _GramRows:
+    """``X1^T r`` for the residual ``r = Y1 - X1 x`` of a sparse iterate, as
+    ``X1^T Y1 - sum_j x_j G_j`` over the Gram rows ``G_j = X1[:, j]^T X1`` of
+    the coordinates that have entered the support (Friedman, Hastie &
+    Tibshirani, J. Stat. Softw. 2010, section 2.2).  Each row is built once,
+    in one product per batch of entering coordinates, and is kept after its
+    coordinate leaves, with coefficient 0.
+
+    The full product is taken instead when more than an eighth of `x` is
+    nonzero (the rule of `_matvec`), when ``||r||`` is below _GRAM_FLOOR *
+    ||Y1||, and when the new rows would take the cache past an eighth of the
+    rows of `X1`.  The batch product runs on one BLAS thread: its bits
+    depend on the thread count, and so would the fit's."""
+
+    def __init__(self, X1: np.ndarray, Y1: np.ndarray, norm_y: float):
+        n, p = X1.shape
+        self.X1 = X1
+        self.xty = X1.T @ Y1
+        self.rows = np.empty((n // 8, p))  # its untouched pages take no memory
+        self.slot = np.full(p, -1)  # the row of each coordinate, -1 for none yet
+        self.count = 0
+        self.floor = _GRAM_FLOOR * norm_y
+
+    def xtr(self, x: np.ndarray, r: np.ndarray, norm_r: float) -> np.ndarray:
+        nz = np.flatnonzero(x)
+        new = nz[self.slot[nz] < 0]
+        end = self.count + new.size
+        if 8 * nz.size > x.shape[0] or norm_r < self.floor or end > self.rows.shape[0]:
+            return self.X1.T @ r
+        if new.size:
+            with one_blas_thread():
+                np.matmul(self.X1[:, new].T, self.X1, out=self.rows[self.count:end])
+            self.slot[new] = np.arange(self.count, end)
+            self.count = end
+        coef = np.zeros(self.count)
+        coef[self.slot[nz]] = x[nz]
+        return self.xty - coef @ self.rows[: self.count]
 
 
 @dataclass(kw_only=True)
@@ -115,7 +163,7 @@ def prox_sorted_l1(v: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError(f"length mismatch: v has {p}, weights have {w.shape[0]}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    if np.any(np.diff(w) > 0):
+    if np.any(w[1:] > w[:-1]):
         raise ValueError("weights must be nonincreasing")
 
     # "Clearly negative" is <= -tiny rather than < 0, so that no average of
@@ -162,12 +210,13 @@ def sqrt_slope_fit(
     """Fit the square-root sorted-L1 penalized regression on (X1, Y1).
 
     Proximal gradient on the smooth part t -> ||Y1 - X1 t||_2 (gradient
-    -X^T r / ||r||_2 away from r = 0) with sorted-L1 prox steps and a
-    halving backtracking line search; stops when the relative objective
+    -X^T r / ||r||_2 away from r = 0, with ``X^T r`` taken from the Gram rows
+    of the support while the iterate is sparse) with sorted-L1 prox steps and
+    a halving backtracking line search; stops when the relative objective
     decrease falls below `tol`, on exact interpolation, or at `max_iter`
     (reported through the `converged` flag, never silently).  A design or
-    response with a non-finite entry, or whose sum of squares overflows,
-    raises ``ValueError``.
+    response with a non-finite entry, or whose sum of squares overflows, and
+    a response that is not 1-d raise ``ValueError``.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -176,6 +225,8 @@ def sqrt_slope_fit(
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
     n, p = X1.shape
+    if Y1.ndim != 1:
+        raise ValueError(f"Y1 must be a 1-d vector, got shape {Y1.shape}")
     if Y1.shape[0] != n:
         raise ValueError("row mismatch between X1 and Y1")
     # Loss normalized per observation; equivalently the unscaled loss is
@@ -192,6 +243,7 @@ def sqrt_slope_fit(
     step = n / max(sum_sq, np.finfo(float).tiny)
     converged = False
     iterations = 0
+    gram = _GramRows(X1, Y1, norm_y)
     r = Y1 - _matvec(X1, x)  # then always the residual of x, carried over from the line search
 
     for iterations in range(1, max_iter + 1):
@@ -199,7 +251,7 @@ def sqrt_slope_fit(
         if norm_r <= _INTERPOLATION_GUARD * norm_y:
             converged = True
             break
-        grad = -(X1.T @ r) / norm_r
+        grad = -gram.xtr(x, r, norm_r) / norm_r
 
         # Backtracking: halve the step until the quadratic upper model of the
         # smooth part holds at the prox point; grow it mildly between

@@ -244,6 +244,10 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="row mismatch"):
             ols_fit(np.ones((4, 2)), np.ones(3))
 
+    def test_response_not_a_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"Y1 must be a 1-d vector, got shape \(30, 1\)"):
+            ols_fit(np.random.default_rng(0).standard_normal((30, 3)), np.ones((30, 1)))
+
     @pytest.mark.parametrize("ratio,singular", [(1e-12, True), (1e-6, False)])
     def test_singular_guard_near_threshold(self, ratio, singular):
         """The guard sits at sigma_min/sigma_max = 1e-10: a design at 1e-12 is

@@ -1,5 +1,6 @@
 """Tests for synthetic data generation, sparse signals, and sample splitting."""
 
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -265,6 +266,13 @@ class TestDimensions:
 
 
 class TestRegressionSample:
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 2)])
+    def test_response_not_a_vector_rejected(self, shape):
+        """A response of shape (N, 1), as a column slice gives, fails here with
+        its shape, not later inside an estimate's broadcasting."""
+        with pytest.raises(ValueError, match=re.escape(f"Y must be a 1-d vector, got shape {shape}")):
+            RegressionSample(X=np.ones((4, 2)), Y=np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         X = np.ones((4, 2))

@@ -323,6 +323,34 @@ def test_only_the_workers_run_blas_on_one_thread(monkeypatch):
     assert _blas_threads() == before
 
 
+@pytest.mark.skipif(_workers._blas_thread_setter() is None, reason="needs numpy's OpenBLAS")
+def test_one_blas_thread_restores_the_callers_count():
+    """Inside `one_blas_thread` OpenBLAS runs on one thread, and the caller's
+    count, here 2, is back after the block, also when the block raises."""
+    before = _blas_threads()
+    _workers._blas_thread_setter()(2)
+    try:
+        with pytest.raises(ZeroDivisionError), _workers.one_blas_thread():
+            assert _blas_threads() == 1
+            1 / 0
+        assert _blas_threads() == 2
+    finally:
+        _workers._blas_thread_setter()(before)
+
+
+@pytest.mark.parametrize("missing", ["_blas_thread_setter", "_blas_thread_getter"])
+def test_one_blas_thread_without_the_symbols_changes_nothing(missing, monkeypatch):
+    """Without the setter or the getter of numpy's OpenBLAS, the block runs
+    and the other one is never called."""
+    calls = []
+    monkeypatch.setattr(_workers, "_blas_thread_setter", lambda: calls.append)
+    monkeypatch.setattr(_workers, "_blas_thread_getter", lambda: lambda: calls.append("get") or 4)
+    monkeypatch.setattr(_workers, missing, lambda: None)
+    with _workers.one_blas_thread():
+        pass
+    assert calls == []
+
+
 def test_no_split_where_a_fork_is_unsafe(monkeypatch):
     """On 8 usable cores a large run gets 8 workers, and 1 when no OpenBLAS
     thread setter is found or another Python thread is alive."""

@@ -1,6 +1,9 @@
 """Tests for the sorted-L1 machinery: weights, norm, prox, solver, noise estimate."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,13 +22,14 @@ from signalnorm import (
     sqrt_slope_fit,
     synthesize,
 )
-from signalnorm import highdim, quadratic
+from signalnorm import highdim, quadratic, slope
 from signalnorm.highdim import estimate_highdim
-from signalnorm.slope import _INTERPOLATION_GUARD, SlopeFit, _matvec
+from signalnorm.slope import _GRAM_FLOOR, _INTERPOLATION_GUARD, SlopeFit, _GramRows, _matvec
 
 # Seeded solver and pipeline outputs as float.hex strings; any change to the
 # iterates shows as a changed bit here.  All but the interpolation case were
 # re-recorded when the residuals came to run over the iterate's support, and
+# again when the gradient came to take Gram rows of the support;
 # `fit_reference` keeps them within FIT_RTOL of the full-product solver.
 GOLDENS = json.loads((Path(__file__).parent / "goldens" / "slope.json").read_text())
 
@@ -35,7 +39,8 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 # Relative gap allowed between the solver and `fit_reference`: the support
 # products sum in another order, which moved theta_hat by at most 1.2e-14 of
 # its largest coordinate, and sigma_hat and the objective by at most 4.5e-16,
-# over 30 seeded fits up to 200 x 1000.
+# over 30 seeded fits up to 200 x 1000.  The Gram rows of the gradient moved
+# theta_hat by at most 2.4e-15 of it in three fits at 500 and 750 x 3000.
 FIT_RTOL = 1e-12
 
 
@@ -80,10 +85,11 @@ def prox_reference(v, w):
 
 
 def fit_reference(X1, Y1, c1=1.5, max_iter=10000, tol=1e-8):
-    """The square-root sorted-L1 solver as it was before its residuals ran over
-    the iterate's support: full products ``X1 @ cand`` and the first step from
-    ``(X1**2).sum()``, kept as the reference the solver must track within
-    FIT_RTOL, iteration for iteration."""
+    """The square-root sorted-L1 solver as it was before its residuals and its
+    gradient ran over the iterate's support: full products ``X1 @ cand`` and
+    ``X1.T @ r``, and the first step from ``(X1**2).sum()``, kept as the
+    reference the solver must track within FIT_RTOL, iteration for
+    iteration."""
     X1 = np.asarray(X1, dtype=float)
     Y1 = np.asarray(Y1, dtype=float)
     n, p = X1.shape
@@ -277,6 +283,28 @@ class TestProxSortedL1:
         with pytest.raises(ValueError, match="nonnegative"):
             prox_sorted_l1(np.ones(2), np.array([1.0, -0.5]))
 
+    @PROPERTY
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, np.inf, -np.inf, np.nan,
+                                                            1e308, -1e308])),
+                    min_size=1, max_size=8))
+    def test_weight_order_check_is_the_difference_check(self, w):
+        """``w[1:] > w[:-1]`` holds where the former ``np.diff(w) > 0`` did, for
+        IEEE floats a - b > 0 exactly when a > b: with NaN, infinities, signed
+        zeros and differences that overflow too.  So the prox raises on the
+        same weights as before."""
+        w = np.array(w)
+        with np.errstate(all="ignore"):
+            increasing = bool(np.any(np.diff(w) > 0))
+        assert bool(np.any(w[1:] > w[:-1])) == increasing
+        if np.any(w < 0):
+            return  # rejected as negative before the order is checked
+        try:
+            prox_sorted_l1(np.zeros(len(w)), w)
+        except ValueError as exc:
+            assert increasing and "nonincreasing" in str(exc)
+        else:
+            assert not increasing
+
     def test_matches_grid_minimizer_2d(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -465,6 +493,8 @@ class TestSqrtSlopeFit:
             sqrt_slope_fit(X, Y, max_iter=0)
         with pytest.raises(ValueError, match="row mismatch"):
             sqrt_slope_fit(X, np.ones(2))
+        with pytest.raises(ValueError, match=r"Y1 must be a 1-d vector, got shape \(3, 1\)"):
+            sqrt_slope_fit(X, np.ones((3, 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["X1", "Y1"])
@@ -658,3 +688,119 @@ class TestSupportProducts:
                 np.testing.assert_allclose(a, b, rtol=FIT_RTOL)
         assert {k: est[k] for k in ("branch", "regime", "n_per_split", "parts")} == \
             {k: ref[k] for k in ("branch", "regime", "n_per_split", "parts")}
+
+
+class TestGramRows:
+    """The gradient's ``X1^T r`` from cached Gram rows of the support: its
+    accuracy, when no row is built, and fits at the benchmark's sizes."""
+
+    def test_gradients_along_a_wide_fit(self, monkeypatch):
+        """Along a seeded 500 x 3000 fit, each gradient is within 1e-13 of its
+        largest entry of ``-(X1^T r) / ||r||``; 1.9e-15 was measured over
+        three such fits."""
+        X, Y = _drawn_problem(500, 3000, 8, 2.0, 1.0, seed=0)
+        xtr, caches = _GramRows.xtr, []
+
+        def checked(cache, x, r, norm_r):
+            out = xtr(cache, x, r, norm_r)
+            full = -(X.T @ r) / norm_r
+            np.testing.assert_allclose(-out / norm_r, full, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(full)))
+            caches.append(cache)
+            return out
+
+        monkeypatch.setattr(_GramRows, "xtr", checked)
+        fit = sqrt_slope_fit(X, Y)
+        assert fit.converged and len(caches) == fit.iterations
+        assert caches[-1].count >= np.count_nonzero(fit.theta_hat) > 0
+
+    @staticmethod
+    def _batches(monkeypatch):
+        """Count the batch products of Gram rows, each of which runs on one
+        BLAS thread."""
+        batches = []
+        one_thread = slope.one_blas_thread
+
+        def counted():
+            batches.append(1)
+            return one_thread()
+
+        monkeypatch.setattr(slope, "one_blas_thread", counted)
+        return batches
+
+    @pytest.mark.parametrize("case", ["sparse", "dense", "below_floor", "past_bound"])
+    def test_when_rows_are_built(self, case, monkeypatch):
+        """A sparse iterate builds its rows in one batch, once; dense iterates,
+        a residual below the floor and a support past the cache's bound of an
+        eighth of the rows of X1 (here 8) build none and take the full
+        product, bit for bit."""
+        rng = np.random.default_rng(11)
+        X, Y = rng.standard_normal((64, 200)), rng.standard_normal(64)
+        batches = self._batches(monkeypatch)
+        cache = _GramRows(X, Y, float(np.linalg.norm(Y)))
+        nonzero = {"sparse": 3, "dense": 26, "below_floor": 3, "past_bound": 9}[case]
+        x = np.zeros(200)
+        x[rng.choice(200, nonzero, replace=False)] = rng.standard_normal(nonzero)
+        r = Y - X @ x
+        norm_r = float(np.linalg.norm(r))
+        if case == "below_floor":
+            norm_r = 0.99 * _GRAM_FLOOR * np.linalg.norm(Y)
+        out = cache.xtr(x, r, norm_r)
+        if case == "sparse":
+            assert (len(batches), cache.count) == (1, 3)
+            np.testing.assert_allclose(out, X.T @ r, rtol=0, atol=1e-13 * np.max(np.abs(X.T @ r)))
+            cache.xtr(x, r, norm_r)  # the same support again: no new row
+            assert (len(batches), cache.count) == (1, 3)
+        else:
+            assert (len(batches), cache.count) == (0, 0)
+            assert out.tobytes() == (X.T @ r).tobytes()
+
+    @pytest.mark.parametrize("n, s, seed", [(500, 8, 0), (750, 80, 1)])
+    def test_wide_estimate_sizes_track_reference(self, n, s, seed, monkeypatch):
+        """At the block sizes of the benchmark's sparse (s = 8, three blocks of
+        500 rows) and dense (s = 80, two of 750) branches, a fit builds Gram
+        rows and takes the reference's iterations within FIT_RTOL."""
+        batches = self._batches(monkeypatch)
+        X, Y = _drawn_problem(n, 3000, s, 2.0, 1.0, seed)
+        fit = sqrt_slope_fit(X, Y)
+        assert batches
+        assert_tracks_reference(fit, fit_reference(X, Y))
+
+
+# Prints the estimate of each saved sample as float.hex, one line per sample.
+_ESTIMATE_SAVED = """
+import sys
+import numpy as np
+from signalnorm import RegressionSample
+from signalnorm.highdim import estimate_highdim
+for path in sys.argv[1:]:
+    data = np.load(path)
+    est = estimate_highdim(RegressionSample(data["X"], data["Y"]), int(data["s"]))
+    print(est.q_hat.hex(), est.lambda_hat.hex(), est.sigma_hat.hex())
+"""
+
+
+def test_wide_estimates_keep_their_bits_across_blas_threads(tmp_path):
+    """On saved samples of the benchmark's size (N = 1500, p = 3000) and both
+    branches, estimates give the same bytes with 1 and 2 OpenBLAS threads: the
+    Gram rows are built on one thread, since that product's bits depend on the
+    thread count.  The samples are saved because the `Y = X theta` of
+    `synthesize` has bits that depend on it too.  With that product left on 2
+    threads, both estimates took other bits; so did 5 of 12 drawn like them."""
+    paths = []
+    for s, seed in ((8, 44), (80, 45)):
+        theta = sample_sparse_theta(3000, s, 2.0, rng=np.random.default_rng(seed))
+        sample = synthesize(ModelSpec(theta=theta, sigma=1.0), Dimensions(N=1500, p=3000, s=s), seed)
+        paths.append(tmp_path / f"sample{seed}.npz")
+        np.savez(paths[-1], X=sample.X, Y=sample.Y, s=s)
+    src = Path(slope.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _ESTIMATE_SAVED, *map(str, paths)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == len(paths)
+    assert outputs[0] == outputs[1]
