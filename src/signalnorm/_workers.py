@@ -23,6 +23,7 @@ thread, for a product whose bits would otherwise depend on the thread count.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import os
 import pickle
@@ -52,7 +53,6 @@ _DRAWS_PER_WORKER = 1 << 21
 def _blas_thread_function(verb: str):
     """``openblas_<verb>_num_threads`` ("set" or "get") of the OpenBLAS that
     numpy loaded, or None."""
-    import ctypes
     from pathlib import Path
 
     import numpy
@@ -164,6 +164,10 @@ def _answer(calls: list, j: int, k: int, pipe):
         setter = _blas_thread_setter()
         if setter is not None:
             setter(1)
+        # glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) at their dynamic maxima: a
+        # trial's arrays reuse freed heap instead of faulting fresh pages in each time
+        for param, value in ((-3, 1 << 25), (-1, 1 << 26)):
+            getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(param, value)
         answer = pickle.dumps([_run(function, args, n * j // k, n * (j + 1) // k)
                                for function, args, n, _ in calls])
         _flush()  # before the caller, having read the answer, kills this worker

@@ -19,12 +19,10 @@ trials into contiguous ranges, at most one per core, over workers that
 :mod:`signalnorm._workers` forks from the caller, each of which sets its own
 OpenBLAS to one thread.  Where no worker can be forked safely and made
 single-threaded, it runs serially.  The statistics, joined in trial order,
-and beta are those of a serial run: bit for bit where BLAS gives the same
-bits with one thread as with the caller's count, and otherwise within
-rounding (the README's "Simulation config schema" names the sizes measured).
-There is no option for it.  The caller's environment is left as it is, and
-so is its BLAS thread count, which a wide-regime fit sets to one only around
-its Gram-row products and then restores (see :mod:`signalnorm.slope`).
+and beta are those of a serial run, bit for bit, with no option for it:
+:func:`signalnorm.lowdim.ols_fit` and the Gram rows of :mod:`signalnorm.slope`
+run on one BLAS thread in the caller as in a worker.  The caller's
+environment and thread count are left as they are.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _workers, pipeline
-from .model import Dimensions, ModelSpec, synthesize
+from .model import Dimensions, ModelSpec, _checked_seed, synthesize
 from .quadratic import FunctionalEstimate
 
 __all__ = ["calibrate_beta", "statistic"]
@@ -83,7 +81,7 @@ def _job(*, p, N, s, regime, delta, alpha, c1, trials, seed, design, noise) -> d
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return dict(p=p, N=N, s=s, regime=regime, delta=delta, alpha=alpha, c1=c1, trials=trials,
-                seed=seed, design=design, noise=noise)
+                seed=_checked_seed(seed), design=design, noise=noise)
 
 
 def _call(job: dict) -> tuple:

@@ -18,6 +18,7 @@ from . import harness, lower_bounds, pipeline
 from .model import (
     Dimensions,
     ModelSpec,
+    _checked_seed,
     read_sample,
     sample_sparse_theta,
     synthesize,
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(_checked_seed(args.seed), spawn_key=(1,)))
     theta = sample_sparse_theta(args.p, args.s, args.magnitude, pattern=args.pattern, rng=rng)
     spec = ModelSpec(theta=theta, sigma=args.sigma, design=args.design, noise=args.noise)
     sample = synthesize(spec, Dimensions(N=args.N, p=args.p, s=args.s), args.seed)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _workers, calibration, lower_bounds, pipeline
-from .model import Dimensions, ModelSpec, sample_sparse_theta, synthesize
+from .model import Dimensions, ModelSpec, _checked_seed, sample_sparse_theta, synthesize
 from .quadratic import FunctionalEstimate, split_parts
 
 __all__ = [
@@ -142,6 +142,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self._check_types()
+        _checked_seed(self.seed)
         if self.task not in ("estimate-norm", "detect"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.regime not in ("low", "high", "auto"):
@@ -387,11 +388,10 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     every decision, in trial order.  A large batch splits each point's
     replications and each calibration's null trials over workers forked from
     this process, each with single-threaded BLAS, where that is safe; a
-    trial, or a calibration, gives what it gives serially, bit for bit or
-    within rounding as the README's "Simulation config schema" sets out.  The
-    caller's environment is left as it is, and so is its BLAS thread count,
-    which a wide-regime fit sets to one only around its Gram-row products and
-    then restores.
+    trial, or a calibration, gives what it gives serially, bit for bit, save
+    the exception the README's "Simulation config schema" names.  The caller's
+    environment and BLAS thread count are left as they are: `lowdim.ols_fit`
+    and the wide fit's Gram rows set the count to one only around their work.
 
     A calibration that raises a tagged error tags every trial at its n whose
     estimate succeeded; at an n where every estimate failed, its result goes

@@ -5,8 +5,9 @@ provides the preliminary estimate and the residual-based noise estimate, and
 the second block feeds the shared quadratic stage.  The fit reads everything
 from one triangular factor of the augmented block [X1 | Y1]: the Cholesky
 factor of its Gram matrix when a condition bound certifies it, and otherwise
-one Householder QR, whose singular values decide the rank.  On the sparse
-branch (s <= sqrt(p)) the screening vector is the OLS fit itself, with the
+one Householder QR, whose singular values decide the rank, each on one
+OpenBLAS thread so that its bits do not depend on the thread count.  On the
+sparse branch (s <= sqrt(p)) the OLS fit is the screening vector, with the
 per-coordinate threshold scaled by the diagonal of the inverse Gram matrix.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import one_blas_thread
 from .model import RegressionSample, split_sample
 from .quadratic import FunctionalEstimate, quadratic_stage
 
@@ -84,6 +86,7 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     / corner^2.  Otherwise (the bound is large or not finite, the Cholesky
     factorization fails, as for an all-zero Y1, or a diagonal entry of A^T A
     lies outside _GRAM_RANGE) the fit falls back to one Householder QR of A.
+    Both factors run on one OpenBLAS thread: their bits depend on the count.
 
     R has the singular values of X1, and the rank guard rejects X1 when
     sigma_min < _SINGULAR_RTOL * sigma_max.  A certified Cholesky factor
@@ -101,7 +104,8 @@ def ols_fit(X1: np.ndarray, Y1: np.ndarray) -> OlsFit:
     if n <= p:
         raise ValueError(f"need n > p for the least squares pipeline, got n={n}, p={p}")
     A = np.column_stack([X1, Y1])
-    R_aug, theta_hat, gram_inverse_diag = _cholesky_factor(A) or _householder_factor(A)
+    with one_blas_thread():
+        R_aug, theta_hat, gram_inverse_diag = _cholesky_factor(A) or _householder_factor(A)
     sigma_hat = float(abs(R_aug[p, p]) / np.sqrt(n - p))
     return OlsFit(theta_hat=theta_hat, gram_inverse_diag=gram_inverse_diag, sigma_hat=sigma_hat)
 

@@ -144,6 +144,12 @@ class RegressionSample:
         return self.X.shape[1]
 
 
+def _checked_seed(seed: int) -> int:
+    if seed < 0:  # SeedSequence's own error does not name the seed
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def synthesize(spec: ModelSpec, dims: Dimensions, seed: int) -> RegressionSample:
     """Generate a sample from Y = X theta + sigma xi, reproducible from `seed`.
 
@@ -157,7 +163,7 @@ def synthesize(spec: ModelSpec, dims: Dimensions, seed: int) -> RegressionSample
             f"dimension mismatch: theta has length {spec.theta.shape[0]}, p={dims.p}"
         )
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
+        seed = np.random.SeedSequence(_checked_seed(int(seed)))
     ss_design, ss_noise = seed.spawn(2)
     X = DESIGN_LAWS[spec.design](np.random.default_rng(ss_design), (dims.N, dims.p))
     xi = NOISE_LAWS[spec.noise](np.random.default_rng(ss_noise), dims.N)

@@ -2,12 +2,7 @@ from pathlib import Path
 
 import pytest
 
-TASKS = Path("/proc/self/task")
-
-
-def _children() -> set[str]:
-    """Process ids of the live children of this process, over all its threads."""
-    return {pid for f in TASKS.glob("*/children") for pid in f.read_text().split()}
+from test_pipeline import _children
 
 
 @pytest.fixture(autouse=True)
@@ -15,7 +10,7 @@ def no_child_process_left():
     """Fail a test that leaves a child process of this one alive, such as a
     forked worker that outlived its run.  Without /proc nothing is
     checked."""
-    if not TASKS.is_dir():
+    if not Path("/proc/self/task").is_dir():
         yield
         return
     before = _children()

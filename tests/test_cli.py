@@ -487,6 +487,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
         for path in (good_csv, tmp_path / "nope.csv"):
             code = main([*argv, "--regime", "low", "--s", "1", "--input", str(path)])
             assert code == EXIT_CONFIG and message in capsys.readouterr().err, (argv, path)
+    # a negative seed, named, rather than numpy's bare "expected non-negative integer",
+    # and for simulate at load rather than at the first trial
+    negative = tmp_path / "negative-seed.json"
+    negative.write_text(json.dumps({"seed": -1}))
+    for argv in (["simulate", "--config", str(negative), "--out-dir", str(tmp_path / "out")],
+                 ["gen", "--N", "10", "--p", "3", "--s", "1", "--seed", "-1",
+                  "--out", str(tmp_path / "negative.csv")],
+                 ["detect", "--regime", "low", "--s", "1", "--calib-seed", "-1",
+                  "--input", str(good_csv)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == "", argv
+        assert "seed must be a non-negative integer, got -1" in captured.err, argv
     # non-finite or out-of-range tuning constants or sparsity, rather than a NaN
     # threshold or decision, or a fit that never ran
     finite = "must be finite and positive"

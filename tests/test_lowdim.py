@@ -1,6 +1,9 @@
 """Tests for the OLS-based estimation and detection pipeline (n > p)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -21,6 +24,7 @@ from signalnorm import (
     sample_sparse_theta,
     synthesize,
 )
+from signalnorm import _workers, lowdim
 from signalnorm.calibration import calibrate_beta
 from signalnorm.harness import fit_rate
 from signalnorm.lowdim import _SINGULAR_RTOL, OlsFit, _cholesky_factor, estimate_lowdim, ols_fit
@@ -371,6 +375,67 @@ class TestOlsFit:
         assert got == want
         if name == "tiny":
             assert [message for _, message in want[1]] == ["overflow encountered in square"]
+
+
+# Prints the fit of each saved block as the sha256 of theta_hat's and the
+# diagonal's bytes and sigma_hat as float.hex, one line per block.
+_FIT_SAVED = """
+import hashlib
+import sys
+import numpy as np
+from signalnorm.lowdim import ols_fit
+for path in sys.argv[1:]:
+    data = np.load(path)
+    fit = ols_fit(data["X"], data["Y"])
+    blob = fit.theta_hat.tobytes() + fit.gram_inverse_diag.tobytes()
+    print(hashlib.sha256(blob).hexdigest(), fit.sigma_hat.hex())
+"""
+
+
+def test_fits_keep_their_bits_across_blas_threads(tmp_path):
+    """On saved blocks of 200 x 100 and 1000 x 400, fits give the same bytes
+    with 1 and 2 OpenBLAS threads: the Gram matrix of [X1 | Y1] and its
+    factor are taken on one thread, since their bits depend on the count."""
+    paths = []
+    for n, p in ((200, 100), (1000, 400)):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, p))
+        paths.append(tmp_path / f"block{n}x{p}.npz")
+        np.savez(paths[-1], X=X, Y=X[:, 0] + rng.standard_normal(n))
+    src = Path(lowdim.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _FIT_SAVED, *map(str, paths)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == len(paths)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(_workers._blas_thread_getter() is None, reason="needs numpy's OpenBLAS")
+def test_singular_fit_restores_the_callers_blas_threads(monkeypatch):
+    """The Householder fallback runs on one OpenBLAS thread, and the caller's
+    count, here 2, is back after it raises `SingularDesignError`."""
+    get, set_threads = _workers._blas_thread_getter(), _workers._blas_thread_setter()
+    householder, seen = lowdim._householder_factor, []
+
+    def recording(A):
+        seen.append(get())
+        return householder(A)
+
+    monkeypatch.setattr(lowdim, "_householder_factor", recording)
+    col = np.random.default_rng(2).standard_normal((10, 1))
+    before = get()
+    set_threads(2)
+    try:
+        with pytest.raises(SingularDesignError):
+            ols_fit(np.hstack([col, col]), np.arange(10.0))
+        assert seen == [1] and get() == 2
+    finally:
+        set_threads(before)
 
 
 class TestBranchRule:

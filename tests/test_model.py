@@ -102,6 +102,11 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="X must be a 2-d matrix"):
             RegressionSample(X=np.ones(4), Y=np.ones(4))
 
+    def test_negative_seed_rejected(self):
+        """A negative seed is named, where SeedSequence's own error does not."""
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            synthesize(ModelSpec(theta=np.zeros(2), sigma=1.0), Dimensions(N=4, p=2, s=1), -1)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ModelSpec(theta=np.zeros(3), sigma=0.0)

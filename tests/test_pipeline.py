@@ -1,6 +1,7 @@
 """Property tests of the split-sample pipeline that both regimes share."""
 
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -202,6 +203,11 @@ SPLIT_CASES = {
                              design="uniform-scaled", noise="scaled-rademacher-mixture"),
     # Every null statistic is 0 here, so beta is the 1.0 fallback.
     "zero-atom": dict(p=400, N=600, s=3, regime="high", alpha=4.0, trials=11, seed=0),
+    # Sizes where the bits of the least squares products depend on the BLAS
+    # thread count: the workers' single thread and the caller's count agree
+    # because the fit runs on one thread either way.
+    "low-p100": dict(p=100, N=400, s=3, regime="low", alpha=1.0, trials=6, seed=0),
+    "low-p400": dict(p=400, N=2000, s=3, regime="low", alpha=1.0, trials=6, seed=0),
 }
 
 
@@ -209,47 +215,22 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("case, workers",
                          [(case, 2) for case in sorted(SPLIT_CASES)] + [("high", 3), ("low", 3)])
 def test_split_calibration_is_bit_identical(case, workers, monkeypatch):
-    """Split over worker interpreters, a calibration gives the serial loop's
-    statistics and beta bit for bit at sizes where BLAS gives the same bits
-    with one thread as with the caller's, leaves the caller's environment as
-    it was and no child process behind."""
+    """Split over forked workers, a calibration gives the serial loop's
+    statistics and beta bit for bit at every size, leaves the caller's
+    environment as it was and no child process behind."""
     args = SPLIT_CASES[case]
     environ, before = dict(os.environ), _children()
     stats, beta = _calibrate_over(1, monkeypatch, **args)
     assert stats.shape == (args["trials"],)
     if case == "zero-atom":
         assert not stats.any() and beta == 1.0
+    if case.startswith("low-p"):
+        assert stats.all()
     split_stats, split_beta = _calibrate_over(workers, monkeypatch, **args)
     assert split_stats.tobytes() == stats.tobytes()
     assert np.float64(split_beta).tobytes() == np.float64(beta).tobytes()
     assert _children() == before
     assert dict(os.environ) == environ
-
-
-# Relative gap allowed between split and serial statistics where BLAS bits
-# depend on the thread count.  With 2 OpenBLAS threads in the serial loop and
-# 1 in the workers, on 2 cores, the low regime's least squares forms its Gram
-# matrix with a product that rounds with the thread count: over these 6
-# trials the statistics differed by up to 4.8e-15 at p=400, N=2000 and by up
-# to 2.8e-15 at p=100, N=400.
-SPLIT_RTOL = 1e-12
-
-
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
-def test_split_calibration_within_tolerance_at_threaded_sizes(monkeypatch):
-    """Where OpenBLAS's bits depend on its thread count, the workers' single
-    threads and the caller's threads give statistics and beta that agree within
-    SPLIT_RTOL, not bit for bit.  On one core, or with one BLAS thread, they
-    are equal."""
-    for p, N in ((400, 2000), (100, 400)):
-        args = dict(p=p, N=N, s=3, regime="low", alpha=1.0, trials=6, seed=0)
-        before = _children()
-        stats, beta = _calibrate_over(1, monkeypatch, **args)
-        split_stats, split_beta = _calibrate_over(2, monkeypatch, **args)
-        assert np.all(stats > 0)
-        np.testing.assert_allclose(split_stats, stats, rtol=SPLIT_RTOL)
-        np.testing.assert_allclose(split_beta, beta, rtol=SPLIT_RTOL)
-        assert _children() == before
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
@@ -336,6 +317,32 @@ def test_one_blas_thread_restores_the_callers_count():
         assert _blas_threads() == 2
     finally:
         _workers._blas_thread_setter()(before)
+
+
+def _faults_per_round(lo, hi):
+    """Minor page faults of each of rounds lo..hi-1, which allocate and free
+    arrays of 16 and 8 MB as a large trial does, after one round that warms
+    the heap."""
+    import resource
+
+    faults = []
+    for _ in range(lo, hi + 1):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = np.ones(2_000_000), np.ones(1_000_000)
+        del arrays
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults[1:]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_workers_reuse_their_freed_heap(monkeypatch):
+    """A worker serves a trial's arrays below 32 MB from heap that earlier
+    trials freed.  Under glibc's default thresholds it can map fresh pages for
+    every trial instead, hundreds of faults a round here."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_workers, "worker_count", lambda draws, items: 2)
+        (faults,) = _workers.run([(_faults_per_round, (), 8, 1)])
+    assert len(faults) == 8 and max(faults) < 100, faults
 
 
 @pytest.mark.parametrize("missing", ["_blas_thread_setter", "_blas_thread_getter"])
