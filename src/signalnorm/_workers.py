@@ -13,8 +13,8 @@ is sent to them.  A child sets its own OpenBLAS to one thread, computes its
 range of every call, writes one pickled result per call, the items or the
 exception the range raised, to a pipe and ends with ``os._exit``.  A batch
 splits only where that is safe: with ``os.fork``, ``os.sched_getaffinity`` and
-the thread setter of the OpenBLAS that numpy loaded, and with no other Python
-thread in the caller.  Elsewhere it runs in the calling process.
+numpy's OpenBLAS, and with no other Python thread in the caller.  Elsewhere it
+runs in the calling process.
 
 :func:`one_blas_thread` runs a block in the calling process on one OpenBLAS
 thread, for a product whose bits would otherwise depend on the thread count.
@@ -50,48 +50,38 @@ import warnings
 _DRAWS_PER_WORKER = 1 << 21
 
 
-def _blas_thread_function(verb: str):
-    """``openblas_<verb>_num_threads`` ("set" or "get") of the OpenBLAS that
-    numpy loaded, or None."""
+@functools.cache
+def _openblas():
+    """The ``(set_num_threads, get_num_threads)`` pair of the OpenBLAS that
+    numpy loaded, found together under one symbol prefix, or None."""
     from pathlib import Path
 
     import numpy
 
     for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
-                       f"openblas_{verb}_num_threads"):
-            function = getattr(handle, symbol, None)
-            if function is not None:
-                function.argtypes = [ctypes.c_int] if verb == "set" else []
-                function.restype = None if verb == "set" else ctypes.c_int
-                return function
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            setter, getter = (getattr(handle, name.format(verb), None) for verb in ("set", "get"))
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
     return None
-
-
-@functools.cache
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS that numpy loaded, or None."""
-    return _blas_thread_function("set")
-
-
-@functools.cache
-def _blas_thread_getter():
-    """The thread-count getter of the OpenBLAS that numpy loaded, or None."""
-    return _blas_thread_function("get")
 
 
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, for a product whose
     bits would otherwise depend on the thread count, and restore the caller's
-    count afterwards, also after a raise.  Without both the setter and the
-    getter it changes nothing.  The count belongs to the process, so BLAS
-    calls of other Python threads inside the block run on one thread too."""
-    setter, getter = _blas_thread_setter(), _blas_thread_getter()
-    if setter is None or getter is None:
+    count afterwards, also after a raise.  Without numpy's OpenBLAS it changes
+    nothing.  The count belongs to the process, so BLAS calls of other Python
+    threads inside the block run on one thread too."""
+    blas = _openblas()
+    if blas is None:
         yield
         return
+    setter, getter = blas
     threads = getter()
     setter(1)
     try:
@@ -104,7 +94,7 @@ def _usable_cores() -> int:
     """The cores of this process's affinity mask, or 1 where a child cannot be
     forked safely or made single-threaded."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1 or _blas_thread_setter() is None):
+            or threading.active_count() > 1 or _openblas() is None):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -113,8 +103,8 @@ def worker_count(draws: int, items: int) -> int:
     """Workers for a run of `draws` draws whose largest call has `items` items:
     at most one per usable core and per item, and none with fewer than
     _DRAWS_PER_WORKER draws.  Below 2 the run stays in this process.  Only a
-    run large enough to split looks up the cores, and with them the OpenBLAS
-    setter."""
+    run large enough to split looks up the cores, and with them numpy's
+    OpenBLAS."""
     workers = min(items, draws // _DRAWS_PER_WORKER)
     return min(workers, _usable_cores()) if workers > 1 else workers
 
@@ -161,9 +151,9 @@ def _answer(calls: list, j: int, k: int, pipe):
     unwinds into the caller's stack, its finally blocks or its atexit handlers."""
     code = 1
     try:
-        setter = _blas_thread_setter()
-        if setter is not None:
-            setter(1)
+        blas = _openblas()
+        if blas is not None:
+            blas[0](1)  # set_num_threads(1)
         # glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) at their dynamic maxima: a
         # trial's arrays reuse freed heap instead of faulting fresh pages in each time
         for param, value in ((-3, 1 << 25), (-1, 1 << 26)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slope import _matvec
+from .slope import _few, _matvec
 
 __all__ = [
     "FunctionalEstimate",
@@ -100,7 +100,7 @@ def component_estimates(
     rows_in_order = p > 1 and X2.strides[0] > X2.strides[1] > 0
     # Gathering columns and taking cumsums costs more per column than the dense
     # sums: at 100 x 50 and 200 x 100 the two break even near a fifth kept.
-    if rows_in_order and cols is not None and 8 * len(cols) <= p:
+    if rows_in_order and cols is not None and _few(len(cols), p):
         # cumsum adds rows in order; .sum(axis=0) of this column-major copy
         # would not.
         w = X2[:, cols] * r[:, None]

@@ -46,15 +46,20 @@ __all__ = [
 _INTERPOLATION_GUARD = 1e-10
 
 
+def _few(k: int, p: int) -> bool:
+    """Whether `k` of `p` coordinates are at most an eighth of them: the rule
+    by which a product runs over those columns alone rather than all `p`."""
+    return 8 * k <= p
+
+
 def _matvec(X: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``X @ x``, over the nonzero coordinates of `x` alone when they are at
-    most an eighth of them (the rule ``component_estimates`` applies to its
-    `cols`); otherwise the full product, bit for bit.  The two agree up to
+    """``X @ x``, over the nonzero coordinates of `x` alone when they are
+    `_few`; otherwise the full product, bit for bit.  The two agree up to
     rounding: the zeros add nothing, but the sum runs in another order.  A
     non-finite entry of `X` in a column where `x` is zero stays out of the
     support product, so callers take finite `X`."""
     nz = np.flatnonzero(x)
-    if 8 * nz.size <= x.shape[0]:
+    if _few(nz.size, x.shape[0]):
         return X[:, nz] @ x[nz]
     return X @ x
 
@@ -72,10 +77,9 @@ class _GramRows:
     in one product per batch of entering coordinates, and is kept after its
     coordinate leaves, with coefficient 0.
 
-    The full product is taken instead when more than an eighth of `x` is
-    nonzero (the rule of `_matvec`), when ``||r||`` is below _GRAM_FLOOR *
-    ||Y1||, and when the new rows would take the cache past an eighth of the
-    rows of `X1`.  The batch product runs on one BLAS thread: its bits
+    The full product is taken instead when the nonzeros of `x` are not
+    `_few`, when ``||r||`` is below _GRAM_FLOOR * ||Y1||, and when the new
+    rows would take the cache past an eighth of the rows of `X1`.  The batch product runs on one BLAS thread: its bits
     depend on the thread count, and so would the fit's."""
 
     def __init__(self, X1: np.ndarray, Y1: np.ndarray, norm_y: float):
@@ -91,7 +95,7 @@ class _GramRows:
         nz = np.flatnonzero(x)
         new = nz[self.slot[nz] < 0]
         end = self.count + new.size
-        if 8 * nz.size > x.shape[0] or norm_r < self.floor or end > self.rows.shape[0]:
+        if not _few(nz.size, x.shape[0]) or norm_r < self.floor or end > self.rows.shape[0]:
             return self.X1.T @ r
         if new.size:
             with one_blas_thread():

@@ -32,6 +32,13 @@ def tiny_config(**overrides):
     return ExperimentConfig.from_dict(base)
 
 
+def trials_alone(config):
+    """The record of each trial of `config`, in run order, each from
+    `run_single_trial` alone."""
+    return [run_single_trial(config, point, _trial_seed(config.seed, point["index"], rep))
+            for point in config.grid_points() for rep in range(config.replications)]
+
+
 class TestEvalRule:
     def test_basic_rules(self):
         assert eval_rule("p = n/2", n=64) == 32
@@ -193,9 +200,7 @@ class TestRunTrials:
         assert len(records) == 2 * 2 * 2 * 2
         assert all(r.error is None and r.decision in (0, 1) for r in records)
         assert [(c["p"], c["N"]) for c in calls] == [(4, 32), (6, 48)]
-        alone = [run_single_trial(config, point, _trial_seed(config.seed, point["index"], rep))
-                 for point in config.grid_points() for rep in range(config.replications)]
-        assert alone == records
+        assert trials_alone(config) == records
 
     @pytest.mark.parametrize("overrides, parts", [
         (dict(regime="low", p_rule="n/4", s_rule="1"), 2),
@@ -223,18 +228,26 @@ class TestRunTrials:
     def test_failing_calibration_tags_every_detect_trial(self, monkeypatch):
         """A calibration that raises tags every trial at its n whose estimate
         succeeded with its message.  It runs once per n, as any calibration
-        of a run does, not again for each trial: 2 calls for 4 trials."""
+        of a run does, not again for each trial: 2 calls for 4 trials.  Each
+        trial run alone, calibrating for itself, gives the same record, tag
+        included, also when only the calibration at 48 rows (n = 24) fails."""
         calls = []
 
         def failing(job, lo, hi):
             calls.append(job)
             raise ValueError("no null statistic")
 
+        config = tiny_config(task="detect", n=[16, 24])
         monkeypatch.setattr(calibration, "_null_statistics", failing)
-        records = run_trials(tiny_config(task="detect", n=[16, 24]))
+        records = run_trials(config)
         assert len(records) == 4 and len(calls) == 2
         assert all(r.error == "ValueError: no null statistic" and r.q_hat is not None
                    and r.decision is None for r in records)
+        assert trials_alone(config) == records
+        monkeypatch.setattr(calibration, "_null_statistics", nulls_failing_at_48_rows)
+        records = run_trials(config)
+        assert [r.error for r in records] == [None, None] + ["ValueError: no null statistic"] * 2
+        assert trials_alone(config) == records
 
     def test_detect_calibrates_under_config_laws(self, monkeypatch):
         """A detect run's beta is the one `calibrate_beta` gives under the

@@ -415,11 +415,11 @@ def test_fits_keep_their_bits_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.skipif(_workers._blas_thread_getter() is None, reason="needs numpy's OpenBLAS")
+@pytest.mark.skipif(_workers._openblas() is None, reason="needs numpy's OpenBLAS")
 def test_singular_fit_restores_the_callers_blas_threads(monkeypatch):
     """The Householder fallback runs on one OpenBLAS thread, and the caller's
     count, here 2, is back after it raises `SingularDesignError`."""
-    get, set_threads = _workers._blas_thread_getter(), _workers._blas_thread_setter()
+    set_threads, get = _workers._openblas()
     householder, seen = lowdim._householder_factor, []
 
     def recording(A):

@@ -278,21 +278,11 @@ def test_split_calibration_ignores_the_fork_warning(monkeypatch):
 
 
 def _blas_threads():
-    """Thread count of the OpenBLAS that numpy loaded, or None when none is found."""
-    import ctypes
-
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return getter()
-    return None
+    """Thread count of numpy's OpenBLAS."""
+    return _workers._openblas()[1]()
 
 
-@pytest.mark.skipif(_workers._blas_thread_setter() is None, reason="needs numpy's OpenBLAS")
+@pytest.mark.skipif(_workers._openblas() is None, reason="needs numpy's OpenBLAS")
 def test_only_the_workers_run_blas_on_one_thread(monkeypatch):
     """A range that reads OpenBLAS's thread count reads 1 in a worker, and the
     caller's count is the same after the run as before."""
@@ -304,19 +294,20 @@ def test_only_the_workers_run_blas_on_one_thread(monkeypatch):
     assert _blas_threads() == before
 
 
-@pytest.mark.skipif(_workers._blas_thread_setter() is None, reason="needs numpy's OpenBLAS")
+@pytest.mark.skipif(_workers._openblas() is None, reason="needs numpy's OpenBLAS")
 def test_one_blas_thread_restores_the_callers_count():
     """Inside `one_blas_thread` OpenBLAS runs on one thread, and the caller's
     count, here 2, is back after the block, also when the block raises."""
+    set_threads = _workers._openblas()[0]
     before = _blas_threads()
-    _workers._blas_thread_setter()(2)
+    set_threads(2)
     try:
         with pytest.raises(ZeroDivisionError), _workers.one_blas_thread():
             assert _blas_threads() == 1
             1 / 0
         assert _blas_threads() == 2
     finally:
-        _workers._blas_thread_setter()(before)
+        set_threads(before)
 
 
 def _faults_per_round(lo, hi):
@@ -345,30 +336,28 @@ def test_workers_reuse_their_freed_heap(monkeypatch):
     assert len(faults) == 8 and max(faults) < 100, faults
 
 
-@pytest.mark.parametrize("missing", ["_blas_thread_setter", "_blas_thread_getter"])
-def test_one_blas_thread_without_the_symbols_changes_nothing(missing, monkeypatch):
-    """Without the setter or the getter of numpy's OpenBLAS, the block runs
-    and the other one is never called."""
-    calls = []
-    monkeypatch.setattr(_workers, "_blas_thread_setter", lambda: calls.append)
-    monkeypatch.setattr(_workers, "_blas_thread_getter", lambda: lambda: calls.append("get") or 4)
-    monkeypatch.setattr(_workers, missing, lambda: None)
-    with _workers.one_blas_thread():
-        pass
-    assert calls == []
+def test_one_blas_thread_without_the_symbols_changes_nothing(monkeypatch):
+    """Without numpy's OpenBLAS the block runs as it is, and a raise in it
+    passes through."""
+    ran = []
+    monkeypatch.setattr(_workers, "_openblas", lambda: None)
+    with pytest.raises(ZeroDivisionError), _workers.one_blas_thread():
+        ran.append(1)
+        1 / 0
+    assert ran == [1]
 
 
 def test_no_split_where_a_fork_is_unsafe(monkeypatch):
-    """On 8 usable cores a large run gets 8 workers, and 1 when no OpenBLAS
-    thread setter is found or another Python thread is alive."""
+    """On 8 usable cores a large run gets 8 workers, and 1 when numpy's
+    OpenBLAS is not found or another Python thread is alive."""
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     draws = 100 * _workers._DRAWS_PER_WORKER
-    if _workers._blas_thread_setter() is not None:
+    if _workers._openblas() is not None:
         assert _workers.worker_count(draws, 100) == 8
     with monkeypatch.context() as patch:
-        patch.setattr(_workers, "_blas_thread_setter", lambda: None)
+        patch.setattr(_workers, "_openblas", lambda: None)
         assert _workers.worker_count(draws, 100) == 1
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)

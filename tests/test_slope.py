@@ -15,14 +15,18 @@ from hypothesis import strategies as st
 from signalnorm import (
     Dimensions,
     ModelSpec,
+    RegressionSample,
+    estimate,
     prox_sorted_l1,
     sample_sparse_theta,
     slope_weights,
     sorted_l1_norm,
     sqrt_slope_fit,
     synthesize,
+    write_sample,
 )
 from signalnorm import highdim, quadratic, slope
+from signalnorm.cli import EXIT_NUMERIC, main
 from signalnorm.highdim import estimate_highdim
 from signalnorm.slope import _GRAM_FLOOR, _INTERPOLATION_GUARD, SlopeFit, _GramRows, _matvec
 
@@ -481,6 +485,25 @@ class TestSqrtSlopeFit:
         Y = X @ theta + 0.1 * rng.standard_normal(30)
         fit = sqrt_slope_fit(X, Y, max_iter=2)
         assert not fit.converged and fit.iterations == 2
+
+    def test_stalled_line_search_is_a_numeric_failure(self, monkeypatch, tmp_path, capsys):
+        """A line search whose 60 halvings find no decrease, here at prox
+        points of NaN, stops the fit unconverged at the iterate it had; the
+        estimate that needs the fit raises, and the CLI exits 3."""
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 20))
+        sample = RegressionSample(X=X, Y=X[:, 0] + rng.standard_normal(30))
+        calls = []
+        monkeypatch.setattr(slope, "prox_sorted_l1",
+                            lambda v, w: calls.append(1) or np.full_like(v, np.nan))
+        fit = sqrt_slope_fit(sample.X, sample.Y)
+        assert (fit.converged, fit.iterations, len(calls)) == (False, 1, 60)
+        assert not fit.theta_hat.any()
+        with pytest.raises(ArithmeticError, match="did not converge after 1 iterations"):
+            estimate(sample, 2, "high")
+        path = write_sample(sample, tmp_path / "sample.csv")
+        code = main(["estimate", "--regime", "high", "--s", "2", "--input", str(path)])
+        assert code == EXIT_NUMERIC and "did not converge" in capsys.readouterr().err
 
     def test_validation(self):
         """A tolerance no decrease can meet (NaN, 0) or that every one meets (inf),
