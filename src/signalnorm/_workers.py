@@ -59,14 +59,23 @@ def _openblas():
     import numpy
 
     for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            setter, getter = (getattr(handle, name.format(verb), None) for verb in ("set", "get"))
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
+        pair = _thread_pair(ctypes.CDLL(str(lib)))
+        if pair is not None:
+            return pair
+    return None
+
+
+def _thread_pair(handle):
+    """The ``(set_num_threads, get_num_threads)`` pair of one loaded OpenBLAS,
+    found together under one symbol prefix, or None when the library lacks
+    either half under every prefix."""
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        setter, getter = (getattr(handle, name.format(verb), None) for verb in ("set", "get"))
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
     return None
 
 

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -336,15 +337,26 @@ def test_workers_reuse_their_freed_heap(monkeypatch):
     assert len(faults) == 8 and max(faults) < 100, faults
 
 
-def test_one_blas_thread_without_the_symbols_changes_nothing(monkeypatch):
-    """Without numpy's OpenBLAS the block runs as it is, and a raise in it
-    passes through."""
+@pytest.mark.parametrize("missing", [pytest.param("set", id="_blas_thread_setter"),
+                                     pytest.param("get", id="_blas_thread_getter")])
+def test_one_blas_thread_without_the_symbols_changes_nothing(missing, monkeypatch):
+    """An OpenBLAS that lacks the thread setter or the thread getter under
+    every symbol prefix gives no handle; the block then runs as it is, the
+    half that is there is never called, and a raise in the block passes
+    through."""
+    calls = []
+    present = "get" if missing == "set" else "set"
+    lib = types.SimpleNamespace(**{
+        name.format(present): lambda *args: calls.append(args) or 4
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")})
+    assert _workers._thread_pair(lib) is None
+    monkeypatch.setattr(_workers, "_openblas", lambda: _workers._thread_pair(lib))
     ran = []
-    monkeypatch.setattr(_workers, "_openblas", lambda: None)
     with pytest.raises(ZeroDivisionError), _workers.one_blas_thread():
         ran.append(1)
         1 / 0
-    assert ran == [1]
+    assert ran == [1] and calls == []
 
 
 def test_no_split_where_a_fork_is_unsafe(monkeypatch):
