@@ -9,6 +9,8 @@ one Householder QR, whose singular values decide the rank, each on one
 OpenBLAS thread so that its bits do not depend on the thread count.  On the
 sparse branch (s <= sqrt(p)) the OLS fit is the screening vector, with the
 per-coordinate threshold scaled by the diagonal of the inverse Gram matrix.
+:func:`signalnorm.pipeline.estimate` runs this stage; :func:`estimate_lowdim`
+delegates to it, kept while the benchmark calls it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workers import one_blas_thread
-from .model import RegressionSample, split_sample
-from .quadratic import FunctionalEstimate, quadratic_stage
+from .model import RegressionSample
+from .quadratic import FunctionalEstimate
 
 __all__ = [
     "SingularDesignError",
@@ -169,15 +171,14 @@ def _householder_factor(A: np.ndarray):
 
 
 def estimate_lowdim(sample: RegressionSample, s: int, alpha: float = 4.0) -> FunctionalEstimate:
-    """Estimate the squared norm and the norm in the n > p regime.
+    """:func:`signalnorm.pipeline.estimate` in the n > p regime."""
+    from .pipeline import estimate
+    return estimate(sample, s, "low", alpha)
 
-    Splits the sample in two, fits OLS on block 1, and runs the shared
-    quadratic stage on block 2 with the OLS coefficients as screening vector
-    and threshold diagonal diag((X1^T X1)^{-1}).
-    """
-    if not 1 <= s <= sample.p:
-        raise ValueError(f"s must satisfy 1 <= s <= p, got s={s}, p={sample.p}")
-    (X1, Y1), (X2, Y2) = split_sample(sample, 2)
-    fit = ols_fit(X1, Y1)
-    screening = (fit.theta_hat, fit.sigma_hat, fit.gram_inverse_diag)
-    return quadratic_stage(fit.theta_hat, fit.sigma_hat, X2, Y2, s, alpha, screening, "low", 2)
+
+def _preliminary(blocks: list) -> tuple:
+    """``(prelim, sigma_hat, screening)`` of the split blocks: the OLS fit on
+    block 1, whose coefficients are also the screening vector, with threshold
+    diagonal diag((X1^T X1)^{-1})."""
+    fit = ols_fit(*blocks[0])
+    return fit.theta_hat, fit.sigma_hat, (fit.theta_hat, fit.sigma_hat, fit.gram_inverse_diag)

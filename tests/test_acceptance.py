@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import signalnorm as sn
+from signalnorm import _workers
 from signalnorm.calibration import calibrate_beta
 from signalnorm.harness import fit_rate
 from signalnorm.highdim import estimate_highdim
@@ -144,18 +145,32 @@ def test_05_dense_lowdim_null_rate():
 # --------------------------------------------------------------------------
 # 6. Sparse high-dimensional null risk decay with p = 2n
 # --------------------------------------------------------------------------
+def _batch(calls):
+    """Each call's items from one :func:`signalnorm._workers.run` batch, which
+    splits a large one over workers; the first range that raised raises here."""
+    results = _workers.run(calls)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _sparse_highdim_nulls(n, s, alpha, lo, hi):
+    """Squared norm estimates lo..hi-1 of test 06's nulls at n (p = 2n, N = 3n)."""
+    p = 2 * n
+    return [
+        sn.estimate(sn.synthesize(sn.ModelSpec(theta=np.zeros(p), sigma=1.0),
+                                  sn.Dimensions(N=3 * n, p=p, s=s), child),
+                    s, "high", alpha=alpha).lambda_hat ** 2
+        for child in np.random.SeedSequence(entropy=66, spawn_key=(n,)).spawn(hi)[lo:]
+    ]
+
+
 def test_06_sparse_highdim_null_rate():
     reps, s, alpha = 300, 3, 1.0
-    points = []
-    for n in (100, 200, 400):
-        p = 2 * n
-        vals = np.empty(reps)
-        for i, child in enumerate(np.random.SeedSequence(entropy=66, spawn_key=(n,)).spawn(reps)):
-            sample = sn.synthesize(
-                sn.ModelSpec(theta=np.zeros(p), sigma=1.0), sn.Dimensions(N=3 * n, p=p, s=s), child
-            )
-            vals[i] = estimate_highdim(sample, s, alpha=alpha).lambda_hat ** 2
-        points.append((n, float(vals.mean())))
+    ns = (100, 200, 400)
+    values = _batch([(_sparse_highdim_nulls, (n, s, alpha), reps, 3 * n * (2 * n + 1)) for n in ns])
+    points = [(n, float(np.array(vals).mean())) for n, vals in zip(ns, values)]
     slope = fit_rate(points).slope
     ok = -1.35 <= slope <= -0.65
     _emit(6, "sparse high-dim null risk slope", ok, f"slope = {slope:.3f} (required [-1.35, -0.65])")
@@ -165,33 +180,45 @@ def test_06_sparse_highdim_null_rate():
 # --------------------------------------------------------------------------
 # 7. Detection level and power at the calibrated constant
 # --------------------------------------------------------------------------
+def _detection_nulls(N, p, s, alpha, lo, hi):
+    """Estimates lo..hi-1 of test 07's nulls."""
+    return [
+        sn.estimate(sn.synthesize(sn.ModelSpec(theta=np.zeros(p), sigma=1.0),
+                                  sn.Dimensions(N=N, p=p, s=s), child), s, "low", alpha=alpha)
+        for child in np.random.SeedSequence(entropy=555, spawn_key=(1,)).spawn(hi)[lo:]
+    ]
+
+
+def _detection_alternatives(N, p, s, alpha, magnitude, lo, hi):
+    """Estimates lo..hi-1 of test 07's alternatives, s-sparse of norm `magnitude`."""
+    ests = []
+    for child in np.random.SeedSequence(entropy=556, spawn_key=(2,)).spawn(hi)[lo:]:
+        rng = np.random.default_rng(child)
+        theta = sn.sample_sparse_theta(p, s, magnitude, rng=rng)
+        sample = sn.synthesize(
+            sn.ModelSpec(theta=theta, sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child.spawn(1)[0]
+        )
+        ests.append(sn.estimate(sample, s, "low", alpha=alpha))
+    return ests
+
+
 def test_07_detection_level_and_power():
     n, p, s, delta, alpha = 200, 100, 3, 0.1, 1.0
     N = 2 * n
     beta = calibrate_beta(p=p, N=N, s=s, delta=delta, regime="low", alpha=alpha,
                           trials=2000, seed=1234)
 
-    null_trials = 2000
-    rejections = 0
-    for child in np.random.SeedSequence(entropy=555, spawn_key=(1,)).spawn(null_trials):
-        sample = sn.synthesize(
-            sn.ModelSpec(theta=np.zeros(p), sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child
-        )
-        est = estimate_lowdim(sample, s, alpha=alpha)
-        rejections += int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
-    level = rejections / null_trials
-
-    alt_trials = 1000
+    null_trials, alt_trials = 2000, 1000
     magnitude = 5.0 * np.sqrt(s * np.log1p(np.sqrt(p) / s) / N)
-    detections = 0
-    for child in np.random.SeedSequence(entropy=556, spawn_key=(2,)).spawn(alt_trials):
-        rng = np.random.default_rng(child)
-        theta = sn.sample_sparse_theta(p, s, magnitude, rng=rng)
-        sample = sn.synthesize(
-            sn.ModelSpec(theta=theta, sigma=1.0), sn.Dimensions(N=N, p=p, s=s), child.spawn(1)[0]
-        )
-        est = estimate_lowdim(sample, s, alpha=alpha)
-        detections += int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
+    nulls, alternatives = _batch([
+        (_detection_nulls, (N, p, s, alpha), null_trials, N * (p + 1)),
+        (_detection_alternatives, (N, p, s, alpha, magnitude), alt_trials, N * (p + 1)),
+    ])
+    rejections = sum(int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
+                     for est in nulls)
+    level = rejections / null_trials
+    detections = sum(int(est.lambda_hat >= sn.detection_threshold(beta, est.sigma_hat, s, p, N))
+                     for est in alternatives)
     power = detections / alt_trials
 
     ok = level <= delta + 0.03 and power >= 0.9
@@ -199,6 +226,19 @@ def test_07_detection_level_and_power():
           f"level = {level:.3f} (<= 0.13), power = {power:.3f} (>= 0.9), beta = {beta:.3f}")
     assert level <= delta + 0.03
     assert power >= 0.9
+
+
+@pytest.mark.parametrize("function, args", [
+    (_sparse_highdim_nulls, (100, 3, 1.0)),
+    (_detection_nulls, (400, 100, 3, 1.0)),
+    (_detection_alternatives, (400, 100, 3, 1.0, 0.5)),
+], ids=["06-nulls", "07-nulls", "07-alternatives"])
+def test_split_loops_give_the_serial_values(function, args, monkeypatch):
+    """A loop of tests 06 and 07 split over two workers gives, bit for bit,
+    the values of the serial loop in this process."""
+    serial = function(*args, 0, 5)
+    monkeypatch.setattr(_workers, "worker_count", lambda draws, items: 2)
+    assert _batch([(function, args, 5, 1)]) == [serial]
 
 
 # --------------------------------------------------------------------------

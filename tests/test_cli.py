@@ -200,6 +200,21 @@ def test_gen_goldens(tmp_path, capsys):
     assert {k: v.decode() for k, v in files.items()} == GEN_GOLDENS["small"]
 
 
+@pytest.mark.parametrize("N, p, s, message", [
+    (0, 3, 1, "N must be >= 1, got 0"),
+    (10, 1, 1, "p must be >= 2, got 1"),
+    (10, 3, 0, "s must satisfy 1 <= s <= p, got s=0, p=3"),
+    (10, 3, 4, "s must satisfy 1 <= s <= p, got s=4, p=3"),
+], ids=["N-0", "p-1", "s-0", "s-above-p"])
+def test_gen_rejects_sizes_the_model_rejects(tmp_path, capsys, N, p, s, message):
+    """`gen` exits 2 with the model's message, and prints and writes nothing."""
+    path = tmp_path / "s.csv"
+    code = main(["gen", "--N", str(N), "--p", str(p), "--s", str(s), "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == "" and message in captured.err
+    assert not path.exists()
+
+
 @pytest.mark.xfail(strict=True, reason="gen draws theta from SeedSequence(seed)'s second "
                    "child, the stream synthesize draws the noise from; a fix changes gen's data")
 def test_gen_noise_is_not_the_theta_stream(tmp_path, capsys):

@@ -140,6 +140,30 @@ def test_low_regime_rejects_a_preliminary(prelim):
     assert estimate(sample, 3, "low", c1=9.0) == estimate(sample, 3, "low")
 
 
+@pytest.mark.parametrize("regime, s, prelim, message", [
+    ("mid", 0, "bogus", "unknown regime 'mid'; expected 'low' or 'high'"),
+    ("low", 0, "zero", "prelim 'zero': the low regime takes only 'srs'"),
+    ("low", 0, "srs", "s must satisfy 1 <= s <= p, got s=0, p=9"),
+    ("high", 0, "bogus", "s must satisfy 1 <= s <= p, got s=0, p=9"),
+    ("high", 10, "zero", "s must satisfy 1 <= s <= p, got s=10, p=9"),
+    ("high", 2, "bogus", "unknown preliminary 'bogus'; expected 'srs' or 'zero'"),
+], ids=["regime", "low-prelim", "low-s", "high-s", "high-zero-s", "high-prelim"])
+def test_estimate_checks_in_order(regime, s, prelim, message):
+    """The first check that fails names itself: the regime, then the low
+    regime's `prelim`, then `s`, then the high regime's `prelim`; so also
+    through `estimate_lowdim` and `estimate_highdim`."""
+    sample = synthesize(ModelSpec(theta=np.zeros(9), sigma=1.0), Dimensions(N=40, p=9, s=2), 3)
+    calls = [lambda: estimate(sample, s, regime, prelim=prelim)]
+    if regime == "high":
+        calls.append(lambda: estimate_highdim(sample, s, prelim=prelim))
+    if regime == "low" and prelim == "srs":
+        calls.append(lambda: estimate_lowdim(sample, s))
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 def test_estimate_without_noise_estimate_cannot_be_tested():
     """prelim="zero" fits nothing, so its estimate has sigma_hat None: the
     detection rule and the null statistic both refuse it by name."""

@@ -150,9 +150,9 @@ class TestComponentEstimates:
         "n, p",
         [
             (2, 5),  # the fewest rows the pair sum allows
-            (333, 777),  # two chunks, the second one short
-            (750, 3000),  # wide-estimate's dense block: many chunks, the last one short
-            (3, CHUNK + 3),  # wider than a chunk: one row per chunk
+            (333, 777),  # eight chunks, the last one short
+            (750, 3000),  # wide-estimate's dense block: 75 chunks of 10 rows
+            (3, 4 * CHUNK + 3),  # wider than a chunk: one row per chunk
         ],
     )
     @pytest.mark.parametrize("kind", KINDS)
